@@ -178,8 +178,10 @@ def hull_2d(points) -> VPolytope:
     if pts.shape[0] <= 2:
         return VPolytope(pts)
 
-    span = float(np.abs(pts).max())
-    turn_tol = 1e-12 * max(1.0, span * span)
+    # Relative to the points' extent, so the hull does not depend on where
+    # the points sit or on their unit of length.
+    extent = float(np.ptp(pts, axis=0).max())
+    turn_tol = 1e-12 * extent * extent
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -353,14 +355,6 @@ def interior_point(p: VPolytope) -> np.ndarray:
     if rho > INTERIOR_MARGIN:
         return point
     raise LowerDimensionalError("polytope has empty interior")
-
-
-def is_full_dimensional(p: VPolytope) -> bool:
-    try:
-        interior_point(p)
-    except LowerDimensionalError:
-        return False
-    return True
 
 
 def hpolytope_is_bounded(h: HPolytope) -> bool:

@@ -1,7 +1,8 @@
 """Support, width, gauge, radius, chord-length, and polar machinery.
 
-All functionals are exact on V-polytopes: supports are vertex maxima, gauges
-and radius evaluations are tiny LPs over convex-combination weights.  A gauge
+All functionals are exact on V-polytopes: supports are vertex maxima and
+gauges are tiny LPs over scaled convex weights (read off the facets for
+planar batches); radius and chord lengths are reciprocal gauges.  A gauge
 is always evaluated on the body exactly as given; it is an error if the
 origin is not interior, because the Minkowski functional is translation
 sensitive and silent recentering would change its values.
@@ -22,6 +23,7 @@ from .convex_core import (
     VPolytope,
     _as_vector,
     difference_hull,
+    facets_2d,
     interior_slack,
 )
 from .lp_solver import EQUAL, LinearProgram
@@ -82,42 +84,53 @@ def width_fn(k: VPolytope, u) -> FunctionalValue:
     return FunctionalValue(float(value))
 
 
+def _gauge_lp(vertices: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """Least lambda with x in lambda*conv(vertices), and its dual normal.
+
+    Solved as min sum(nu) subject to sum(nu_i v_i) = x, nu >= 0: the scaled
+    convex weights sum exactly to the scaling factor.  The dual normal y
+    satisfies v_i.y <= 1 for every vertex and y.x = lambda, so it is a
+    supporting normal of the hull where the ray through x leaves it.  The
+    value is inf when x is off the cone of the vertices.
+    """
+    out = lp_solver.solve(LinearProgram(np.ones(vertices.shape[0]), vertices.T,
+                                        (EQUAL,) * vertices.shape[1], x))
+    if out.status == lp_solver.INFEASIBLE:
+        return np.inf, None
+    if out.status != lp_solver.OPTIMAL:
+        raise RuntimeError(f"gauge LP failed with status {out.status}")
+    return max(0.0, out.value), out.duals
+
+
+def _gauge_evaluator(body: VPolytope):
+    """Batched gauge of a body over the rows of a point array.
+
+    Planar full-dimensional bodies read it off their facets in one product,
+    which needs the origin interior; any other body takes one gauge LP per
+    point, and the gauge is inf off the cone of its vertices.
+    """
+    if body.dim == 2:
+        f = facets_2d(body)
+        if not f.lower_dimensional:
+            polar_vertices = (f.normals / f.offsets[:, None]).T
+            return lambda points: np.maximum(
+                (np.atleast_2d(points) @ polar_vertices).max(axis=1), 0.0)
+    verts = body.vertices
+    return lambda points: np.array(
+        [_gauge_lp(verts, p)[0] for p in np.atleast_2d(points)])
+
+
 def gauge(c: GaugeBody, x) -> FunctionalValue:
     """Minkowski functional of the gauge body: least lambda with x in lambda*C.
 
-    Solved as min sum(nu) subject to sum(nu_i c_i) = x, nu >= 0: the scaled
-    convex weights sum exactly to the scaling factor.  The witness is the
-    boundary point where the ray through x leaves the body.
+    The witness is the boundary point where the ray through x leaves the body.
     """
     point = _as_vector(x, c.dim)
-    verts = c.body.vertices
-    n = verts.shape[0]
-    lp = LinearProgram(np.ones(n), verts.T, (EQUAL,) * c.dim, point)
-    out = lp_solver.solve(lp)
-    if out.status != lp_solver.OPTIMAL:
-        raise RuntimeError(f"gauge LP failed with status {out.status}")
-    value = max(0.0, out.value)
+    value, _ = _gauge_lp(c.body.vertices, point)
+    if not np.isfinite(value):
+        raise RuntimeError("gauge LP failed with status infeasible")
     witness = point / value if value > EPS_GEOMETRY else None
     return FunctionalValue(float(value), witness)
-
-
-def _ray_exit(vertices: np.ndarray, u: np.ndarray) -> float | None:
-    """sup of alpha >= 0 with alpha*u in the hull, or None if the ray misses."""
-    n, d = vertices.shape
-    # Variables: convex weights then alpha; rows: combination hits alpha*u.
-    lhs = np.zeros((d + 1, n + 1))
-    lhs[:d, :n] = vertices.T
-    lhs[:d, n] = -u
-    lhs[d, :n] = 1.0
-    rhs = np.concatenate([np.zeros(d), [1.0]])
-    objective = np.zeros(n + 1)
-    objective[n] = -1.0  # maximise alpha
-    out = lp_solver.solve(LinearProgram(objective, lhs, (EQUAL,) * (d + 1), rhs))
-    if out.status == lp_solver.INFEASIBLE:
-        return None
-    if out.status != lp_solver.OPTIMAL:
-        raise RuntimeError(f"ray LP failed with status {out.status}")
-    return float(out.solution[n])
 
 
 def radius_fn(k: VPolytope | GaugeBody, u) -> FunctionalValue:
@@ -135,9 +148,10 @@ def radius_fn(k: VPolytope | GaugeBody, u) -> FunctionalValue:
     direction = _as_vector(u, body.dim)
     if np.linalg.norm(direction) < EPS_GEOMETRY:
         raise ValueError("direction must be nonzero")
-    alpha = _ray_exit(body.vertices, direction)
-    if alpha is None:
+    value, _ = _gauge_lp(body.vertices, direction)
+    if not np.isfinite(value):
         raise RuntimeError("radius LP infeasible despite interior origin")
+    alpha = 1.0 / value
     return FunctionalValue(alpha, alpha * direction)
 
 
@@ -146,11 +160,11 @@ def max_chord(k: VPolytope, u) -> FunctionalValue:
     direction = _as_vector(u, k.dim)
     if np.linalg.norm(direction) < EPS_GEOMETRY:
         raise ValueError("direction must be nonzero")
-    diff = difference_hull(k)
-    alpha = _ray_exit(diff.vertices, direction)
-    if alpha is None:
+    value, _ = _gauge_lp(difference_hull(k).vertices, direction)
+    if not np.isfinite(value):
         # The ray leaves the difference body immediately: zero-length chord.
         return FunctionalValue(0.0, np.zeros(k.dim))
+    alpha = 1.0 / value
     return FunctionalValue(alpha, alpha * direction)
 
 

@@ -275,12 +275,19 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray, banned: np.ndarray,
         positive = column > pivot_tol
         if not positive.any():
             return UNBOUNDED
+        # Drift can leave right-hand sides slightly negative; reading them as
+        # zero keeps every ratio non-negative, so no pivot leaves feasibility.
         ratios = np.full(m, np.inf)
-        ratios[positive] = tableau[:m, total][positive] / column[positive]
+        rhs = np.maximum(tableau[:m, total], 0.0)
+        ratios[positive] = rhs[positive] / column[positive]
         best = ratios.min()
         ties = np.flatnonzero(ratios <= best + 1e-12)
-        # Smallest basis index among ties: Bland-compatible and deterministic.
-        row = int(ties[np.argmin(basis[ties])])
+        if bland:
+            # Smallest basis index among ties: required for Bland's rule.
+            row = int(ties[np.argmin(basis[ties])])
+        else:
+            # Largest pivot element among ties: the most stable division.
+            row = int(ties[np.argmax(column[ties])])
         _pivot(tableau, row, col)
         basis[row] = col
         objective = -tableau[m, total]

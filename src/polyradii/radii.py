@@ -1,13 +1,13 @@
 """Circumradius, inradius, diameter, and minimum width relative to a gauge body.
 
-Every quantity reduces to linear programming over vertex representations.
-In the plane, where exact facet enumeration is available, the containment
-LPs switch to the (much smaller) facet form once the convex-coefficient
-encoding would grow past a size cap; the two forms agree to LP tolerance and
-are cross-checked in the test suite.  Gauge bodies are used exactly as given
-whenever the origin is already interior; otherwise they are recentered by an
-interior point, which is legal for all four quantities because each is
-invariant under independent translations of both arguments.
+Every quantity reduces to a containment problem solved by linear
+programming.  In the plane, where exact facet enumeration is available,
+circumradius and inradius solve one small facet LP at every size, and gauges
+are read off the facets; off-plane they are convex-coefficient LPs over the
+vertex representations, one gauge LP per point.  Gauge bodies are used
+exactly as given whenever the origin is already interior; otherwise they are
+recentered by an interior point, which is legal for all four quantities
+because each is invariant under independent translations of both arguments.
 """
 
 from __future__ import annotations
@@ -32,17 +32,17 @@ from .functionals import (
     FunctionalValue,
     GaugeBody,
     GaugeError,
-    _ray_exit,
+    _gauge_evaluator,
+    _gauge_lp,
     gauge,
     support_values,
 )
 from .lp_solver import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram
 
-# Above this constraint-matrix cell count the planar containment LPs switch
-# from the convex-coefficient encoding to the facet encoding.  The threshold
-# is deliberately low: the block-structured vertex LPs become massively
-# degenerate on fine polygons and stall the dense tableau, while the facet
-# form is exact in the plane at any size.
+# Up to this cell count (of the coupled inscription LP) the planar minimum
+# width takes its value from the pinned inscription LP, a route independent
+# of the facet closed form; above it the closed form gives the value too,
+# because the LP work grows with the product of the two hull sizes.
 _VLP_CELL_CAP = 150_000
 
 _CENTERED_TOL = 1e-9
@@ -139,12 +139,9 @@ def _dedupe(p: VPolytope) -> VPolytope:
 def circumradius(k: VPolytope, c: VPolytope) -> RadiiResult:
     """Least lambda such that some translate x + lambda*C contains K."""
     _check_dims(k, c)
-    kv, cv = _dedupe(k), _dedupe(c)
-    d = k.dim
-    cells = (len(kv) * (d + 1)) * (d + 1 + len(kv) * len(cv))
-    if d == 2 and cells > _VLP_CELL_CAP:
-        return _circumradius_facets_2d(kv, cv)
-    return _circumradius_vertex_lp(kv, cv)
+    if k.dim == 2:
+        return _circumradius_facets_2d(k, c)
+    return _circumradius_vertex_lp(_dedupe(k), _dedupe(c))
 
 
 def _circumradius_vertex_lp(k: VPolytope, c: VPolytope) -> RadiiResult:
@@ -177,17 +174,32 @@ def _circumradius_vertex_lp(k: VPolytope, c: VPolytope) -> RadiiResult:
     return RadiiResult("R", max(0.0, out.value), center=out.solution[:d])
 
 
-def _recover_center(normals: np.ndarray, targets: np.ndarray,
-                    multipliers: np.ndarray) -> np.ndarray | None:
-    """Solve the binding facet equations for the homothet center.
+def _normalised(offsets: np.ndarray, supports: np.ndarray):
+    """Both facet-LP data vectors divided by their common max-abs scale.
 
-    ``multipliers`` are the dual-form weights; rows they charge are tight by
-    complementary slackness.
+    The constraints are homogeneous in (offsets, supports, centre): the
+    radius is unchanged, the centre scales back by the returned factor, and
+    the fixed LP tolerances hold at any size or distance from the origin.
     """
-    binding = multipliers > 1e-9 * max(1.0, float(np.abs(multipliers).max()))
-    if binding.sum() < normals.shape[1]:
-        return None
-    center, *_ = np.linalg.lstsq(normals[binding], targets[binding], rcond=None)
+    scale = float(max(np.abs(offsets).max(), np.abs(supports).max()))
+    return offsets / scale, supports / scale, scale
+
+
+def _facet_center(program: str, out: lp_solver.LpOutcome, sign: float,
+                  violation) -> np.ndarray:
+    """The centre a dual-form facet LP carries in its duals, checked feasible.
+
+    The duals of the two U'y = 0 rows are the primal centre up to ``sign``;
+    ``violation`` maps a centre to the primal constraint residuals.
+    """
+    shape = f"3 x {out.solution.size}"
+    if out.duals is None:
+        raise RuntimeError(f"{program} facet LP ({shape}) returned no duals")
+    center = sign * out.duals[:2]
+    worst = float(np.max(violation(center)))
+    if worst > 1e-7:
+        raise RuntimeError(f"{program} facet LP ({shape}): the centre from its "
+                           f"duals violates a constraint by {worst:.3e}")
     return center
 
 
@@ -198,31 +210,17 @@ def _circumradius_facets_2d(k: VPolytope, c: VPolytope) -> RadiiResult:
     fc = facets_2d(c)
     if fc.lower_dimensional:
         raise RuntimeError("circumradius needs a full-dimensional gauge body")
-    u, b = fc.normals, fc.offsets
-    h = support_values(k, u)
+    u = fc.normals
+    b, h, scale = _normalised(fc.offsets, support_values(k, u))
     lhs = np.vstack([u.T, b])
     rhs = np.array([0.0, 0.0, 1.0])
     out = lp_solver.solve(LinearProgram(-h, lhs, (EQUAL, EQUAL, LESS_EQUAL), rhs))
     if out.status != lp_solver.OPTIMAL:
         raise RuntimeError(f"circumradius facet LP ended with status {out.status}")
     lam = max(0.0, -out.value)
-    center = _recover_center(u, h - b * lam, out.solution)
-    if center is None or float(np.max(h - u @ center - b * lam)) > 1e-7:
-        return _circumradius_facet_primal(u, b, h)
-    return RadiiResult("R", lam, center=center)
-
-
-def _circumradius_facet_primal(u, b, h) -> RadiiResult:
-    lhs = np.hstack([u, b[:, None]])
-    out = lp_solver.solve(
-        LinearProgram(
-            np.array([0.0, 0.0, 1.0]), lhs, (GREATER_EQUAL,) * len(b), h,
-            (None, None, 0.0),
-        )
-    )
-    if out.status != lp_solver.OPTIMAL:
-        raise RuntimeError(f"circumradius facet LP ended with status {out.status}")
-    return RadiiResult("R", max(0.0, out.value), center=out.solution[:2])
+    center = _facet_center("circumradius", out, -1.0,
+                           lambda x: h - u @ x - b * lam)
+    return RadiiResult("R", lam, center=scale * center)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +230,9 @@ def _circumradius_facet_primal(u, b, h) -> RadiiResult:
 def inradius(k: VPolytope, c: VPolytope) -> RadiiResult:
     """Greatest lambda such that some translate x + lambda*C fits inside K."""
     _check_dims(k, c)
-    kv, cv = _dedupe(k), _dedupe(c)
-    d = k.dim
-    cells = (len(cv) * (d + 1)) * (d + 1 + len(cv) * len(kv))
-    if d == 2 and cells > _VLP_CELL_CAP:
-        return _inradius_facets_2d(kv, cv)
-    return _inradius_vertex_lp(kv, cv)
+    if k.dim == 2:
+        return _inradius_facets_2d(k, c)
+    return _inradius_vertex_lp(_dedupe(k), _dedupe(c))
 
 
 def _inradius_vertex_lp(k: VPolytope, c: VPolytope) -> RadiiResult:
@@ -274,8 +269,8 @@ def _inradius_facets_2d(k: VPolytope, c: VPolytope) -> RadiiResult:
     # min b'y with U'y = 0, h'y >= 1, y >= 0; infeasible exactly when the
     # gauge collapses to the origin (h = 0).
     fk = facets_2d(k)
-    u, b = fk.normals, fk.offsets
-    h = support_values(c, u)
+    u = fk.normals
+    b, h, scale = _normalised(fk.offsets, support_values(c, u))
     lhs = np.vstack([u.T, h])
     rhs = np.array([0.0, 0.0, 1.0])
     out = lp_solver.solve(LinearProgram(b, lhs, (EQUAL, EQUAL, GREATER_EQUAL), rhs))
@@ -284,25 +279,8 @@ def _inradius_facets_2d(k: VPolytope, c: VPolytope) -> RadiiResult:
     if out.status != lp_solver.OPTIMAL:
         raise RuntimeError(f"inradius facet LP ended with status {out.status}")
     lam = max(0.0, out.value)
-    center = _recover_center(u, b - h * lam, out.solution)
-    if center is None or float(np.max(u @ center + h * lam - b)) > 1e-7:
-        return _inradius_facet_primal(u, h, b)
-    return RadiiResult("r", lam, center=center)
-
-
-def _inradius_facet_primal(u, h, b) -> RadiiResult:
-    lhs = np.hstack([u, h[:, None]])
-    out = lp_solver.solve(
-        LinearProgram(
-            np.array([0.0, 0.0, -1.0]), lhs, (LESS_EQUAL,) * len(b), b,
-            (None, None, 0.0),
-        )
-    )
-    if out.status == lp_solver.UNBOUNDED:
-        raise ValueError("inradius is unbounded: the gauge body is a single point")
-    if out.status != lp_solver.OPTIMAL:
-        raise RuntimeError(f"inradius facet LP ended with status {out.status}")
-    return RadiiResult("r", max(0.0, -out.value), center=out.solution[:2])
+    center = _facet_center("inradius", out, 1.0, lambda x: u @ x + h * lam - b)
+    return RadiiResult("r", lam, center=scale * center)
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +297,10 @@ def _half_difference_gauge(c: VPolytope) -> GaugeBody:
         ) from exc
 
 
-def _facet_gauge_evaluator(body: VPolytope):
-    """Vectorised planar gauge via facets; valid when the origin is interior."""
-    f = facets_2d(body)
-    normals, offsets = f.normals, f.offsets
-
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        vals = (np.atleast_2d(points) @ normals.T) / offsets
-        return np.maximum(vals.max(axis=1), 0.0)
-
-    return evaluate
+def _first_attaining(values: np.ndarray) -> int:
+    """Index of the first value that ties the maximum up to rounding."""
+    top = float(values.max())
+    return int(np.argmax(values >= top - 1e-9 * max(1.0, top)))
 
 
 def diameter(k: VPolytope, c: VPolytope) -> RadiiResult:
@@ -343,24 +315,13 @@ def diameter(k: VPolytope, c: VPolytope) -> RadiiResult:
     n = verts.shape[0]
     if n == 1:
         return RadiiResult("D", 0.0, pair=(0, 0))
-    best = -np.inf
-    best_pair = (0, 0)
-    if k.dim == 2:
-        evaluate = _facet_gauge_evaluator(gb.body)
-        for i in range(n - 1):
-            vals = evaluate(verts[i + 1:] - verts[i])
-            j = int(np.argmax(vals))
-            if vals[j] > best:
-                best = float(vals[j])
-                best_pair = (i, i + 1 + j)
-    else:
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                val = gauge(gb, verts[j] - verts[i]).value
-                if val > best:
-                    best = val
-                    best_pair = (i, j)
-    return RadiiResult("D", max(0.0, best), pair=best_pair)
+    evaluate = _gauge_evaluator(gb.body)
+    # One value per pair i < j, in the lexicographic order of the pairs.
+    vals = np.concatenate([evaluate(verts[i + 1:] - verts[i]) for i in range(n - 1)])
+    first = _first_attaining(vals)
+    rows, cols = np.triu_indices(n, 1)
+    return RadiiResult("D", max(0.0, float(vals.max())),
+                       pair=(int(rows[first]), int(cols[first])))
 
 
 # ---------------------------------------------------------------------------
@@ -380,47 +341,27 @@ def _degenerate_direction(diff: VPolytope) -> np.ndarray:
     return vt[-1]
 
 
-def _ray_exit_with_duals(vertices: np.ndarray, u: np.ndarray):
-    """Like functionals._ray_exit, also returning the equality-row duals."""
-    n, d = vertices.shape
-    lhs = np.zeros((d + 1, n + 1))
-    lhs[:d, :n] = vertices.T
-    lhs[:d, n] = -u
-    lhs[d, :n] = 1.0
-    rhs = np.concatenate([np.zeros(d), [1.0]])
-    objective = np.zeros(n + 1)
-    objective[n] = -1.0
-    out = lp_solver.solve(LinearProgram(objective, lhs, (EQUAL,) * (d + 1), rhs))
-    if out.status == lp_solver.INFEASIBLE:
-        return None, None
-    if out.status != lp_solver.OPTIMAL:
-        raise RuntimeError(f"ray LP failed with status {out.status}")
-    duals = out.duals[:d] if out.duals is not None else None
-    return float(out.solution[n]), duals
-
-
 def _pinned_inscription_lp(a: VPolytope, b: VPolytope):
     """max t with t*B inside A, both centered, inscribing translate at 0.
 
-    Because 0 lies in A, feasibility of t*w in A is monotone in t along each
-    vertex ray of B, so the coupled convex-coefficient LP decomposes exactly
-    into one ray-exit LP per vertex of B; the binding ray's duals supply a
-    supporting normal of A at the contact, i.e. a minimising width direction.
+    Because 0 lies in A, t*w lies in A exactly when t*gauge_A(w) <= 1, so
+    the coupled convex-coefficient LP decomposes into one gauge LP per
+    vertex w of B and t* = 1 / max_w gauge_A(w).  The binding gauge LP's
+    dual normal supports A at the contact, i.e. is a minimising width
+    direction.
     """
-    t_star = np.inf
-    binding_duals = None
+    gauges = []
     for w in b.vertices:
         if np.linalg.norm(w) <= 1e-12:
             continue  # the origin imposes no constraint
-        reach, duals = _ray_exit_with_duals(a.vertices, w)
-        if reach is None:
+        value, normal = _gauge_lp(a.vertices, w)
+        if not np.isfinite(value):
             return 0.0, None
-        if reach < t_star:
-            t_star = reach
-            binding_duals = duals
-    if not np.isfinite(t_star):
+        gauges.append((value, normal))
+    if not gauges:
         raise ValueError("inscription is unbounded: gauge body is a single point")
-    return max(0.0, t_star), binding_duals
+    values = np.array([value for value, _ in gauges])
+    return 1.0 / values.max(), gauges[_first_attaining(values)][1]
 
 
 def _width_ratio(a: VPolytope, b: VPolytope, directions: np.ndarray) -> np.ndarray:
@@ -441,20 +382,13 @@ def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
     d = k.dim
 
     if d == 2:
-        fb = facets_2d(b)
-        if fb.lower_dimensional:
+        if facets_2d(b).lower_dimensional:
             raise ValueError("diameter/width need a full-dimensional gauge body")
-        fa = facets_2d(a)
-        if fa.lower_dimensional:
-            return RadiiResult("omega", 0.0, direction=_degenerate_direction(a))
-        ratios = 2.0 * fa.offsets / support_values(b, fa.normals)
-        arg = int(np.argmin(ratios))
-        direction = fa.normals[arg]
+        value, direction = _facet_width_2d(a, b)
         cells = (len(b) * (d + 1)) * (1 + len(b) * len(a))
-        if cells > _VLP_CELL_CAP:
-            return RadiiResult("omega", float(ratios[arg]), direction=direction)
-        t_star, _ = _pinned_inscription_lp(a, b)
-        return RadiiResult("omega", max(0.0, 2.0 * t_star), direction=direction)
+        if cells <= _VLP_CELL_CAP:
+            value = max(0.0, 2.0 * _pinned_inscription_lp(a, b)[0])
+        return RadiiResult("omega", value, direction=direction)
 
     rank = np.linalg.matrix_rank(b.vertices, tol=1e-9)
     if rank < d:
@@ -462,12 +396,12 @@ def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
     if np.linalg.matrix_rank(a.vertices, tol=1e-9) < d:
         return RadiiResult("omega", 0.0, direction=_degenerate_direction(a))
 
-    t_star, dual = _pinned_inscription_lp(a, b)
+    t_star, normal = _pinned_inscription_lp(a, b)
     candidates = []
-    if dual is not None:
-        norm = np.linalg.norm(dual)
+    if normal is not None:
+        norm = np.linalg.norm(normal)
         if norm > 1e-9:
-            candidates.extend([dual / norm, -dual / norm])
+            candidates.extend([normal / norm, -normal / norm])
     for verts in (a.vertices, b.vertices):
         norms = np.linalg.norm(verts, axis=1)
         keep = norms > 1e-9
@@ -486,8 +420,11 @@ def min_width_facet_2d(k: VPolytope, c: VPolytope) -> tuple[float, np.ndarray]:
     _check_dims(k, c)
     if k.dim != 2:
         raise DimensionMismatchError("facet oracle is planar only")
-    a = difference_hull(k)
-    b = difference_hull(c)
+    return _facet_width_2d(difference_hull(k), difference_hull(c))
+
+
+def _facet_width_2d(a: VPolytope, b: VPolytope) -> tuple[float, np.ndarray]:
+    """Minimal ratio 2 h_A(u) / h_B(u) over the facet normals u of A."""
     fa = facets_2d(a)
     if fa.lower_dimensional:
         return 0.0, _degenerate_direction(a)
@@ -563,19 +500,9 @@ def _max_pairwise_gauge(k: VPolytope, gb: GaugeBody) -> float:
     n = verts.shape[0]
     if n == 1:
         return 0.0
-    if k.dim == 2:
-        evaluate = _facet_gauge_evaluator(gb.body)
-        best = 0.0
-        for i in range(n):
-            diffs = np.delete(verts, i, axis=0) - verts[i]
-            best = max(best, float(evaluate(diffs).max()))
-        return best
-    best = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                best = max(best, gauge(gb, verts[j] - verts[i]).value)
-    return best
+    evaluate = _gauge_evaluator(gb.body)
+    return max(float(evaluate(np.delete(verts, i, axis=0) - verts[i]).max())
+               for i in range(n))
 
 
 def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
@@ -599,11 +526,14 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
         if fb.lower_dimensional:
             raise ValueError("chain verification needs a full-dimensional gauge body")
         sweep = np.vstack([facets_2d(a).normals, fb.normals])
+        # In the plane the vertex directions already certify the chord sweep.
+        chord_samples = np.empty((0, 2))
         a1_certified = True
     else:
         random_dirs = rng.normal(size=(500, d))
         random_dirs /= np.linalg.norm(random_dirs, axis=1, keepdims=True)
         sweep = np.vstack([_unit_rows(b.vertices), random_dirs])
+        chord_samples = _unit_rows(rng.normal(size=(300, d)))
         a1_certified = False
     a1 = float(np.max(_width_ratio(a, b, sweep)))
 
@@ -613,32 +543,15 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     a5 = _max_pairwise_gauge(k, gauge_c)
 
     # Chord-ratio representation of the diameter (convex bodies).
-    chord_dirs = [_unit_rows(a.vertices), _unit_rows(b.vertices)]
-    if d != 2:
-        extra = rng.normal(size=(300, d))
-        chord_dirs.append(extra / np.linalg.norm(extra, axis=1, keepdims=True))
-    chord_sweep = np.vstack(chord_dirs)
-    if d == 2 and not facets_2d(a).lower_dimensional:
-        # Chord lengths are reciprocal gauges; both bodies are centered and
-        # full-dimensional here, so the planar facet form applies.
-        gamma_a = _facet_gauge_evaluator(a)(chord_sweep)
-        gamma_b = _facet_gauge_evaluator(b)(chord_sweep)
-        chord_value = 2.0 * float(np.max(gamma_b / gamma_a))
-    else:
-        length_b = _facet_gauge_evaluator(b) if d == 2 else None
-        ratios = []
-        for u in chord_sweep:
-            lk = _ray_exit(a.vertices, u)
-            if lk is None:
-                continue
-            if length_b is not None:
-                lc = float(1.0 / length_b(u[None, :])[0])
-            else:
-                lc = _ray_exit(b.vertices, u)
-            if lc is None or lc <= 1e-12:
-                continue
-            ratios.append(lk / lc)
-        chord_value = 2.0 * max(ratios) if ratios else 0.0
+    # Chord lengths are reciprocal gauges of the centered bodies K-K and
+    # C-C, so the chord ratio along u is gauge_B(u) / gauge_A(u).  Skip the
+    # directions with no chord of K-K or a vanishing chord of C-C.
+    chord_sweep = np.vstack([_unit_rows(a.vertices), _unit_rows(b.vertices),
+                             chord_samples])
+    gamma_a = _gauge_evaluator(a)(chord_sweep)
+    gamma_b = _gauge_evaluator(b)(chord_sweep)
+    keep = np.isfinite(gamma_a) & (gamma_b < 1e12)
+    chord_value = 2.0 * float(np.max(gamma_b[keep] / gamma_a[keep])) if keep.any() else 0.0
 
     two_r = 2.0 * circumradius(k, c).value
     centered = _gauge_is_centered(c, rng)

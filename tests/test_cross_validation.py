@@ -131,3 +131,81 @@ def test_chain_members_match_oracles_in_three_dimensions():
             oracle_circumradius(diff_k, VPolytope(half)), abs=1e-7
         )
         assert report.a1 <= report.a2 + 1e-9
+
+
+# Pairs on which the simplex ratio test once pivoted on negative right-hand
+# sides left by drift, so inradius returned a point violating a row by up
+# to 0.68.  Drawn by bench/oracles.draw_body with default_rng(seed), which
+# draws (3-D, 8), (4-D, 8) and (3-D, 10) vertex pairs in turn.
+DRIFT_PAIRS = {
+    "seed59-first": (
+        [[-2.013991424619121, 3.20465719176145, 3.8434423450093935],
+         [-0.032442286858055676, -1.8733189229953577, -1.1817580417627602],
+         [-0.18949338021963588, -2.1786419017711234, 4.330502829889515],
+         [0.5046254921326652, 2.0316944283819094, 1.1000575176293383],
+         [2.204436538996786, 0.08256751043893006, -1.3759026800931533],
+         [2.6354889726311925, -1.0379593074761622, -1.7341277081548956],
+         [2.141287227977597, -1.9177992979859266, -2.1821005612066773],
+         [3.131922195085822, 1.0965502321204472, -0.8704874050216355]],
+        [[-1.077690974096984, -2.7690606256777235, 2.2759067445223313],
+         [0.5661746310115431, 1.9321167571880278, 2.51320251745009],
+         [-1.0374919561346614, 2.5612307169620077, 0.8419642197194549],
+         [1.1151116788781152, -3.1201987721272704, 1.368450596201511],
+         [-0.583011365698287, -1.112396303309474, 0.0941909687295592],
+         [-0.9619862354696991, -0.627793978506258, -1.544778294506471],
+         [-1.3028107918829732, 0.045100467813200866, 3.561406113347673],
+         [-3.090736890126289, -4.876468918238155, -0.3168682257795294]],
+        0.412463096,
+    ),
+    "seed80-second": (
+        [[-0.376033444009608, -0.5399773058370171, -1.6250431177658031, -1.8820811419056491],
+         [6.015040814877247, 1.901324101978685, 0.06941704495019353, 2.9922363815528934],
+         [-1.2257809457850946, -0.4131512668958384, 0.8284986263569148, -2.382430285919846],
+         [3.504263183780348, 3.1769155977609045, 1.225123597493674, -0.31240582702712266],
+         [1.5253672010327766, -2.521380611945511, -2.2679347992035352, -1.9915644970759285],
+         [-0.30236791014047776, 0.8998660736717358, -0.4717181015971881, 0.9285858719554757],
+         [0.4021375918852736, -1.6955529140408507, -1.8272766213744933, 3.845457500714948],
+         [0.3893524119570336, -0.7114922779548755, 0.1545205986613701, -0.6520654781813308]],
+        [[0.9488953614632981, -4.022322251553001, -0.7295711310221992, 3.663946643006714],
+         [1.889869740101829, -0.7572915637614651, 0.29832139689988196, 0.4668878694410004],
+         [-0.08545985317991893, 0.4296089741772283, -1.2077230632464833, 0.3684074668270068],
+         [0.46448564655046115, -3.14827186431249, 0.5759112705030114, -3.5350013236424016],
+         [-0.7852236505102048, 1.1719496617938059, -1.6358429136850359, 0.7040577612270469],
+         [1.347757461319558, 0.15059218892416007, -0.14537527556778315, -0.14535114977934524],
+         [-0.8669286362435347, -0.876755499650984, -5.262626716114392, 2.645548308813945],
+         [-0.18824347667150831, -4.931139622115919, 3.691070944967916, 3.2666402517363444]],
+        0.161335202,
+    ),
+    "seed35-third": (
+        [[2.7459294173911553, -0.4611416132419443, 0.23059260380584493],
+         [0.3381170528515646, 0.8718721986208254, 1.1143152767481168],
+         [4.38445866522456, 3.0340863241196248, 0.886265919719782],
+         [-1.4836192573434313, 3.578270365904238, 1.827794656740647],
+         [0.24595085097305408, -1.0484538825143122, -1.980135849228655],
+         [2.17631481611626, 2.2432698602425263, 0.1632373529850581],
+         [0.05784754340960148, 3.749830547706124, 1.1504203962080548],
+         [-0.24017978818713825, -1.3376011512415094, 2.021171314099425],
+         [1.763528949940833, -2.1127650215477596, -4.447665073540446],
+         [1.4191950274202392, 1.421651071335098, 2.246477288502044]],
+        [[1.5115196049668322, -3.5255548556430583, 2.333980198257936],
+         [-0.7183265315546558, 3.113547544118304, 0.7221779303470937],
+         [-0.6294604108135742, -2.237734827040931, -0.9861327553545353],
+         [0.8181186061263356, -0.2656352398994685, 2.579425270164026],
+         [-0.00776601830679809, 0.7481580298747297, -1.341494969447336],
+         [-1.3536148663691974, -1.1436889759974715, -1.9207339763248372],
+         [2.1613224628638, 3.1130062302484927, -1.1660560810863414],
+         [-0.7066291556917518, 2.63417963981063, 1.2623863737736203],
+         [1.6476785142900223, -2.1018441389415647, 3.9923637463220727],
+         [0.8892801893652676, 0.8143094869903185, -0.4607411608831679]],
+        0.420969881,
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(DRIFT_PAIRS))
+def test_inradius_survives_tableau_drift(label):
+    k_verts, c_verts, expected = DRIFT_PAIRS[label]
+    k, c = VPolytope(np.array(k_verts)), VPolytope(np.array(c_verts))
+    value = inradius(k, c).value
+    assert value == pytest.approx(oracle_inradius(k, c), abs=1e-7)
+    assert value == pytest.approx(expected, abs=1e-9)

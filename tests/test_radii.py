@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from polyradii import lp_solver
 from polyradii.bodies import BodySpec, make_body
 from polyradii.convex_core import (
     DimensionMismatchError,
@@ -170,6 +172,23 @@ def test_inradius_unbounded_for_point_gauge():
         inradius(TRIANGLE, VPolytope([[0.0, 0.0]]))
 
 
+def test_facet_lps_reject_centres_their_duals_do_not_certify(monkeypatch):
+    real_solve = lp_solver.solve
+
+    def solve_with(duals):
+        def solve(lp, **kwargs):
+            out = real_solve(lp, **kwargs)
+            return dataclasses.replace(out, duals=duals(out))
+        return solve
+
+    monkeypatch.setattr(lp_solver, "solve", solve_with(lambda out: out.duals + [5.0, 5.0, 0.0]))
+    with pytest.raises(RuntimeError, match=r"circumradius facet LP \(3 x 3\).*violates"):
+        circumradius(SQUARE, TRIANGLE)
+    monkeypatch.setattr(lp_solver, "solve", solve_with(lambda out: None))
+    with pytest.raises(RuntimeError, match=r"inradius facet LP \(3 x 4\) returned no duals"):
+        inradius(SQUARE, TRIANGLE)
+
+
 # ---------------------------------------------------------------------------
 # diameter
 
@@ -181,6 +200,8 @@ def test_diameter_square_in_triangle_gauge():
     d = SQUARE.vertices[j] - SQUARE.vertices[i]
     # The attaining pair is a main diagonal of the square.
     assert np.allclose(np.abs(d), 2.0 * SQRT3, atol=1e-12)
+    # Both diagonals attain D; (0, 3) is the first pair in order.
+    assert res.pair == (0, 3)
 
 
 def test_diameter_of_singleton_is_zero():
@@ -519,3 +540,39 @@ def test_unit_circumradius_is_stable_under_common_summands():
         k_sum = minkowski_sum(k, extra)
         c_sum = minkowski_sum(c, extra)
         assert circumradius(k_sum, c_sum).value == pytest.approx(1.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# invariance far from unit scale and from the origin
+
+# (common scale, offset of K, offset of C) applied to the square/triangle pair.
+DISTORTIONS = {
+    "scale-1e9": (1e9, [0.0, 0.0], [0.0, 0.0]),
+    "scale-1e-9": (1e-9, [0.0, 0.0], [0.0, 0.0]),
+    "scale-1e6": (1e6, [0.0, 0.0], [0.0, 0.0]),
+    "offset-1e7": (1.0, [1e7, -1e7], [-1e7, 1e7]),
+}
+
+
+def _distorted(label):
+    scale, k_offset, c_offset = DISTORTIONS[label]
+    return transform(SQUARE, scale, k_offset), transform(TRIANGLE, scale, c_offset)
+
+
+@pytest.mark.parametrize("label", list(DISTORTIONS))
+def test_radii_and_width_invariant_under_scale_and_offsets(label):
+    # D and the chain are not covered: at scales 1e9 and 1e-9 they still
+    # fail on the absolute interior-slack margin.
+    k, c = _distorted(label)
+    for quantity in (circumradius, inradius, min_width):
+        unit = quantity(SQUARE, TRIANGLE).value
+        assert quantity(k, c).value == pytest.approx(unit, rel=1e-7)
+
+
+@pytest.mark.parametrize("label", ["scale-1e-9", "offset-1e7"])
+def test_difference_hull_survives_scale_and_offsets(label):
+    k, c = _distorted(label)
+    diff = difference_hull(k)
+    assert len(diff) == 4
+    assert circumradius(diff, c).value == pytest.approx(CIRCUM_DIFF_REF, rel=1e-7)
+    assert inradius(diff, c).value == pytest.approx(2.0, rel=1e-7)

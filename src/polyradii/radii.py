@@ -2,9 +2,10 @@
 
 Every quantity reduces to a containment problem solved by linear
 programming.  In the plane, where exact facet enumeration is available,
-circumradius and inradius solve one small facet LP at every size, and gauges
-are read off the facets; off-plane they are convex-coefficient LPs over the
-vertex representations, one gauge LP per point.  Gauge bodies are used
+circumradius and inradius solve one small facet LP at every size (a point
+or segment gauge takes the circumradius vertex LP), and gauges are read off
+the facets; off-plane they are convex-coefficient LPs over the vertex
+representations, one gauge LP per point.  Gauge bodies are used
 exactly as given whenever the origin is already interior; otherwise they are
 recentered by an interior point, which is legal for all four quantities
 because each is invariant under independent translations of both arguments.
@@ -180,27 +181,14 @@ def _normalised(offsets: np.ndarray, supports: np.ndarray):
     The constraints are homogeneous in (offsets, supports, centre): the
     radius is unchanged, the centre scales back by the returned factor, and
     the fixed LP tolerances hold at any size or distance from the origin.
+    All-zero data (K = C = {0}) are left as they are.
     """
-    scale = float(max(np.abs(offsets).max(), np.abs(supports).max()))
+    scale = float(max(np.abs(offsets).max(), np.abs(supports).max())) or 1.0
     return offsets / scale, supports / scale, scale
 
 
-def _facet_center(program: str, out: lp_solver.LpOutcome, sign: float,
-                  violation) -> np.ndarray:
-    """The centre a dual-form facet LP carries in its duals, checked feasible.
-
-    The duals of the two U'y = 0 rows are the primal centre up to ``sign``;
-    ``violation`` maps a centre to the primal constraint residuals.
-    """
-    shape = f"3 x {out.solution.size}"
-    if out.duals is None:
-        raise RuntimeError(f"{program} facet LP ({shape}) returned no duals")
-    center = sign * out.duals[:2]
-    worst = float(np.max(violation(center)))
-    if worst > 1e-7:
-        raise RuntimeError(f"{program} facet LP ({shape}): the centre from its "
-                           f"duals violates a constraint by {worst:.3e}")
-    return center
+def _facet_lp_error(program: str, out: lp_solver.LpOutcome, problem: str) -> RuntimeError:
+    return RuntimeError(f"{program} facet LP (3 x {out.solution.size}){problem}")
 
 
 def _circumradius_facets_2d(k: VPolytope, c: VPolytope) -> RadiiResult:
@@ -209,7 +197,8 @@ def _circumradius_facets_2d(k: VPolytope, c: VPolytope) -> RadiiResult:
     # one per facet, so phase 1 stays trivial on fine polygons.
     fc = facets_2d(c)
     if fc.lower_dimensional:
-        raise RuntimeError("circumradius needs a full-dimensional gauge body")
+        # A point or segment gauge: the vertex LP takes it as given.
+        return _circumradius_vertex_lp(_dedupe(k), _dedupe(c))
     u = fc.normals
     b, h, scale = _normalised(fc.offsets, support_values(k, u))
     lhs = np.vstack([u.T, b])
@@ -218,8 +207,14 @@ def _circumradius_facets_2d(k: VPolytope, c: VPolytope) -> RadiiResult:
     if out.status != lp_solver.OPTIMAL:
         raise RuntimeError(f"circumradius facet LP ended with status {out.status}")
     lam = max(0.0, -out.value)
-    center = _facet_center("circumradius", out, -1.0,
-                           lambda x: h - u @ x - b * lam)
+    # The duals of the two U'y = 0 rows are the primal centre, negated.
+    if out.duals is None:
+        raise _facet_lp_error("circumradius", out, " returned no duals")
+    center = -out.duals[:2]
+    worst = float(np.max(h - u @ center - b * lam))
+    if worst > 1e-7:
+        raise _facet_lp_error("circumradius", out, ": the centre from its duals "
+                              f"violates a constraint by {worst:.3e}")
     return RadiiResult("R", lam, center=scale * center)
 
 
@@ -279,7 +274,14 @@ def _inradius_facets_2d(k: VPolytope, c: VPolytope) -> RadiiResult:
     if out.status != lp_solver.OPTIMAL:
         raise RuntimeError(f"inradius facet LP ended with status {out.status}")
     lam = max(0.0, out.value)
-    center = _facet_center("inradius", out, 1.0, lambda x: u @ x + h * lam - b)
+    # The duals of the two U'y = 0 rows are the primal centre.
+    if out.duals is None:
+        raise _facet_lp_error("inradius", out, " returned no duals")
+    center = out.duals[:2]
+    worst = float(np.max(u @ center + h * lam - b))
+    if worst > 1e-7:
+        raise _facet_lp_error("inradius", out, ": the centre from its duals "
+                              f"violates a constraint by {worst:.3e}")
     return RadiiResult("r", lam, center=scale * center)
 
 
@@ -297,10 +299,9 @@ def _half_difference_gauge(c: VPolytope) -> GaugeBody:
         ) from exc
 
 
-def _first_attaining(values: np.ndarray) -> int:
-    """Index of the first value that ties the maximum up to rounding."""
-    top = float(values.max())
-    return int(np.argmax(values >= top - 1e-9 * max(1.0, top)))
+def _tie_floor(top: float) -> float:
+    """Values at or above this floor tie the maximum ``top`` up to rounding."""
+    return top - 1e-9 * max(1.0, top)
 
 
 def diameter(k: VPolytope, c: VPolytope) -> RadiiResult:
@@ -316,12 +317,17 @@ def diameter(k: VPolytope, c: VPolytope) -> RadiiResult:
     if n == 1:
         return RadiiResult("D", 0.0, pair=(0, 0))
     evaluate = _gauge_evaluator(gb.body)
-    # One value per pair i < j, in the lexicographic order of the pairs.
-    vals = np.concatenate([evaluate(verts[i + 1:] - verts[i]) for i in range(n - 1)])
-    first = _first_attaining(vals)
-    rows, cols = np.triu_indices(n, 1)
-    return RadiiResult("D", max(0.0, float(vals.max())),
-                       pair=(int(rows[first]), int(cols[first])))
+
+    def row(i: int) -> np.ndarray:
+        return evaluate(verts[i + 1:] - verts[i])
+
+    # Only each row's maximum is kept; the first attaining row is evaluated
+    # again for its first attaining column.
+    row_max = np.array([row(i).max() for i in range(n - 1)])
+    top = float(row_max.max())
+    i = int(np.argmax(row_max >= _tie_floor(top)))
+    j = i + 1 + int(np.argmax(row(i) >= _tie_floor(top)))
+    return RadiiResult("D", max(0.0, top), pair=(i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +367,8 @@ def _pinned_inscription_lp(a: VPolytope, b: VPolytope):
     if not gauges:
         raise ValueError("inscription is unbounded: gauge body is a single point")
     values = np.array([value for value, _ in gauges])
-    return 1.0 / values.max(), gauges[_first_attaining(values)][1]
+    top = float(values.max())
+    return 1.0 / top, gauges[int(np.argmax(values >= _tie_floor(top)))][1]
 
 
 def _width_ratio(a: VPolytope, b: VPolytope, directions: np.ndarray) -> np.ndarray:
@@ -454,8 +461,7 @@ def symmetric_circumradius(k: VPolytope, c: GaugeBody) -> float:
     Requires both vertex lists to be closed under negation; rejects anything
     else, because the identity fails for non-centered bodies.
     """
-    if k.dim != c.dim:
-        raise DimensionMismatchError(f"dims differ: {k.dim} vs {c.dim}")
+    _check_dims(k, c)
     if not _is_centered(k.vertices):
         raise ValueError("symmetric circumradius needs a centered body")
     if not _is_centered(c.body.vertices):

@@ -136,7 +136,9 @@ def test_chain_members_match_oracles_in_three_dimensions():
 # Pairs on which the simplex ratio test once pivoted on negative right-hand
 # sides left by drift, so inradius returned a point violating a row by up
 # to 0.68.  Drawn by bench/oracles.draw_body with default_rng(seed), which
-# draws (3-D, 8), (4-D, 8) and (3-D, 10) vertex pairs in turn.
+# draws (3-D, 8), (4-D, 8) and (3-D, 10) vertex pairs in turn.  The seed-127
+# pair still fails when negative right-hand sides are read as zero but ratio
+# ties go to the smallest basis index; it needs the largest-pivot tie-break.
 DRIFT_PAIRS = {
     "seed59-first": (
         [[-2.013991424619121, 3.20465719176145, 3.8434423450093935],
@@ -198,6 +200,25 @@ DRIFT_PAIRS = {
          [1.6476785142900223, -2.1018441389415647, 3.9923637463220727],
          [0.8892801893652676, 0.8143094869903185, -0.4607411608831679]],
         0.420969881,
+    ),
+    "seed127-second": (
+        [[6.07919137388838, 0.6837197480639042, 0.3477548494428039, -2.856386447267233],
+         [0.264577194907563, -0.46216507235612997, 0.625340990238667, 0.6698826504555216],
+         [-2.0393173716610717, 3.805912317615993, -1.0864236232459825, 3.964678782824601],
+         [-0.953491479406985, 0.1769532456181274, 1.0136191333354942, 0.6378847899652207],
+         [-0.024790235728242013, -2.032553705530994, 0.6179627647841403, 2.830336386131236],
+         [4.790053482100286, -1.5405823996919954, 2.717997199700694, -2.217226907918703],
+         [-1.2389128855793428, -1.8243207094477625, 0.6067071453949506, -0.7937208153658263],
+         [-2.916095369997309, -2.239593766037132, 0.3240371171588697, -0.2575964161006719]],
+        [[1.6430138473631017, -0.37472000338087985, 1.1414086766348923, 4.613369379610514],
+         [-1.6302108730837825, -1.1142707960721583, -1.3889707071871318, 3.114618581003968],
+         [-0.1172249793948598, 0.09704930122692905, -1.6833512313249641, -0.7771843616548623],
+         [1.9016465684061323, -2.734560401163226, -3.4905345424256535, 0.278185964805743],
+         [4.019718077902452, -0.9101076023511894, 1.0317875825785223, 1.8106536916732328],
+         [1.215426066372599, 3.8695102105540076, -1.9502593207448737, 0.614807597250386],
+         [-2.024614296165161, -2.7190755105672166, -0.702755973659891, 0.3027349828642601],
+         [-0.6620421436220894, 0.20131410100757513, 1.36537523872703, -1.549096820546654]],
+        0.189795798,
     ),
 }
 

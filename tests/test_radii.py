@@ -120,6 +120,17 @@ def test_circumradius_matches_minimax_gauge_form():
             assert sampled >= res.value - 1e-7
 
 
+def test_planar_circumradius_takes_segment_and_point_gauges():
+    segment = VPolytope([[-1.0, 0.0], [1.0, 0.0]])
+    res = circumradius(VPolytope([[0.0, 0.0], [2.0, 0.0]]), segment)
+    assert res.value == pytest.approx(1.0, abs=1e-9)
+    assert np.allclose(res.center, [1.0, 0.0], atol=1e-9)
+    origin = VPolytope([[0.0, 0.0]])
+    assert circumradius(origin, origin).value == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(RuntimeError):
+        circumradius(VPolytope([[0.0, -1.0], [0.0, 1.0]]), segment)
+
+
 def test_circumradius_witness_contains_body():
     rng = np.random.default_rng(227)
     for _ in range(10):
@@ -170,6 +181,9 @@ def test_inradius_witness_translate_fits():
 def test_inradius_unbounded_for_point_gauge():
     with pytest.raises(ValueError):
         inradius(TRIANGLE, VPolytope([[0.0, 0.0]]))
+    origin = VPolytope([[0.0, 0.0]])
+    with pytest.raises(ValueError, match="unbounded"):
+        inradius(origin, origin)
 
 
 def test_facet_lps_reject_centres_their_duals_do_not_certify(monkeypatch):

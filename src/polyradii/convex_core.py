@@ -21,8 +21,8 @@ from .lp_solver import EQUAL, LinearProgram
 EPS_GEOMETRY = 1e-9
 EPS_LP = 1e-7
 
-# Positive slack needed to certify a point as interior / a body as
-# full-dimensional.
+# Positive slack, relative to the body's extent, needed to certify a point
+# as interior / a body as full-dimensional.
 INTERIOR_MARGIN = 1e-9
 
 
@@ -183,19 +183,22 @@ def hull_2d(points) -> VPolytope:
     extent = float(np.ptp(pts, axis=0).max())
     turn_tol = 1e-12 * extent * extent
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    def chain(rows: list[list[float]]) -> list[list[float]]:
+        # Python floats: the same IEEE arithmetic as numpy scalars, without
+        # their per-operation overhead.
+        out: list[list[float]] = []
+        for p in rows:
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) > turn_tol:
+                    break
+                out.pop()
+            out.append(p)
+        return out
 
-    lower: list[np.ndarray] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= turn_tol:
-            lower.pop()
-        lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= turn_tol:
-            upper.pop()
-        upper.append(p)
+    rows = pts.tolist()
+    lower = chain(rows)
+    upper = chain(rows[::-1])
     hull = lower[:-1] + upper[:-1]
     return VPolytope(np.array(hull))
 
@@ -297,14 +300,31 @@ def member(p: VPolytope, x, tol: float = EPS_LP) -> bool:
     return out.value <= tol + 1e-12
 
 
+def _extent(p: VPolytope) -> float:
+    """Largest coordinate span of the vertices; 1 for a single point."""
+    return float(np.ptp(p.vertices, axis=0).max()) or 1.0
+
+
+def _interior_margin(p: VPolytope) -> float:
+    """Least slack certifying a point interior to p, relative to its extent."""
+    return INTERIOR_MARGIN * _extent(p)
+
+
 def _axis_slack(p: VPolytope, center: np.ndarray | None) -> tuple[np.ndarray, float]:
     """Largest rho with center ± rho e_k inside the hull for every axis k.
 
     With ``center=None`` the center is a free variable; the optimum then
-    certifies full-dimensionality (rho > 0 iff the body has interior).
+    certifies full-dimensionality (rho > 0 iff the body has interior).  The
+    LP is solved on (vertices - centroid) / extent, so its fixed tolerances
+    hold at any scale and offset, and the point and rho are mapped back;
+    compare rho with ``_interior_margin(p)``.
     """
     n, d = p.vertices.shape
+    centroid = p.vertices.mean(axis=0)
+    extent = _extent(p)
+    verts = (p.vertices - centroid) / extent
     fixed = center is not None
+    local_center = (center - centroid) / extent if fixed else None
     extra = 0 if fixed else d
     width = extra + 1 + 2 * d * n
     rows = 2 * d * (d + 1)
@@ -315,10 +335,10 @@ def _axis_slack(p: VPolytope, center: np.ndarray | None) -> tuple[np.ndarray, fl
         block = extra + 1 + k * n
         r0 = k * (d + 1)
         # sum_i w_i v_i - center - rho * direction = 0
-        lhs[r0:r0 + d, block:block + n] = p.vertices.T
+        lhs[r0:r0 + d, block:block + n] = verts.T
         lhs[r0:r0 + d, extra] = -direction
         if fixed:
-            rhs[r0:r0 + d] = center
+            rhs[r0:r0 + d] = local_center
         else:
             lhs[r0:r0 + d, :d] = -np.eye(d)
         lhs[r0 + d, block:block + n] = 1.0
@@ -331,8 +351,8 @@ def _axis_slack(p: VPolytope, center: np.ndarray | None) -> tuple[np.ndarray, fl
         return (center if fixed else p.vertices[0]), -1.0
     if out.status != lp_solver.OPTIMAL:
         raise RuntimeError(f"interior-slack LP failed with status {out.status}")
-    point = center if fixed else out.solution[:d]
-    return np.asarray(point, dtype=float), float(out.solution[extra])
+    point = center if fixed else centroid + extent * out.solution[:d]
+    return np.asarray(point, dtype=float), extent * float(out.solution[extra])
 
 
 def interior_slack(p: VPolytope, point) -> float:
@@ -344,15 +364,17 @@ def interior_slack(p: VPolytope, point) -> float:
 def interior_point(p: VPolytope) -> np.ndarray:
     """The vertex centroid when it certifies as interior, else a max-slack point.
 
-    Raises LowerDimensionalError when no point has positive slack, i.e. the
-    hull has empty interior.
+    A point certifies when its slack exceeds ``_interior_margin(p)``.
+    Raises LowerDimensionalError when no point does, i.e. the hull has empty
+    interior at working precision.
     """
     centroid = p.vertices.mean(axis=0)
+    margin = _interior_margin(p)
     _, rho = _axis_slack(p, centroid)
-    if rho > INTERIOR_MARGIN:
+    if rho > margin:
         return centroid
     point, rho = _axis_slack(p, None)
-    if rho > INTERIOR_MARGIN:
+    if rho > margin:
         return point
     raise LowerDimensionalError("polytope has empty interior")
 

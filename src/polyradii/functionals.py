@@ -18,10 +18,10 @@ import numpy as np
 from . import lp_solver
 from .convex_core import (
     EPS_GEOMETRY,
-    INTERIOR_MARGIN,
     HPolytope,
     VPolytope,
     _as_vector,
+    _interior_margin,
     difference_hull,
     facets_2d,
     interior_slack,
@@ -52,7 +52,7 @@ class GaugeBody:
     def from_polytope(cls, body: VPolytope) -> "GaugeBody":
         origin = np.zeros(body.dim)
         margin = interior_slack(body, origin)
-        if margin < INTERIOR_MARGIN:
+        if margin < _interior_margin(body):
             raise GaugeError(
                 "origin is not interior to the gauge body "
                 f"(slack {margin:.3e}); translate the body first"
@@ -102,22 +102,45 @@ def _gauge_lp(vertices: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray | 
     return max(0.0, out.value), out.duals
 
 
-def _gauge_evaluator(body: VPolytope):
+class _GaugeEvaluator:
     """Batched gauge of a body over the rows of a point array.
 
-    Planar full-dimensional bodies read it off their facets in one product,
-    which needs the origin interior; any other body takes one gauge LP per
-    point, and the gauge is inf off the cone of its vertices.
+    Planar full-dimensional bodies read it off their polar vertices
+    p_f = n_f / b_f in one product, which needs the origin interior; any
+    other body takes one gauge LP per point, and the gauge is inf off the
+    cone of its vertices.
     """
-    if body.dim == 2:
-        f = facets_2d(body)
-        if not f.lower_dimensional:
-            polar_vertices = (f.normals / f.offsets[:, None]).T
-            return lambda points: np.maximum(
-                (np.atleast_2d(points) @ polar_vertices).max(axis=1), 0.0)
-    verts = body.vertices
-    return lambda points: np.array(
-        [_gauge_lp(verts, p)[0] for p in np.atleast_2d(points)])
+
+    def __init__(self, body: VPolytope):
+        self.vertices = body.vertices
+        self.polar_vertices = None
+        if body.dim == 2:
+            f = facets_2d(body)
+            if not f.lower_dimensional:
+                self.polar_vertices = (f.normals / f.offsets[:, None]).T
+
+    def __call__(self, points) -> np.ndarray:
+        points = np.atleast_2d(points)
+        if self.polar_vertices is not None:
+            return np.maximum((points @ self.polar_vertices).max(axis=1), 0.0)
+        return np.array([_gauge_lp(self.vertices, p)[0] for p in points])
+
+    def pairwise_maxima(self, points: np.ndarray) -> np.ndarray:
+        """For each row v_i of ``points``, max over rows v_j of gauge(v_j - v_i).
+
+        In the plane the two maxima swap: with P = V @ polar,
+        max_j max_f (P[j, f] - P[i, f]) is a support-function difference per
+        polar vertex, so one n x F product replaces n rows of n x F gauge
+        evaluations.  The points are centred first, as differences are, so
+        the products do not carry their offset.  Any other body takes one
+        gauge LP per ordered pair.
+        """
+        if self.polar_vertices is not None:
+            products = (points - points.mean(axis=0)) @ self.polar_vertices
+            np.subtract(products.max(axis=0), products, out=products)
+            return np.maximum(products.max(axis=1), 0.0)
+        return np.array([self(np.delete(points, i, axis=0) - points[i]).max(initial=0.0)
+                         for i in range(points.shape[0])])
 
 
 def gauge(c: GaugeBody, x) -> FunctionalValue:
@@ -143,7 +166,7 @@ def radius_fn(k: VPolytope | GaugeBody, u) -> FunctionalValue:
         body = k.body
     else:
         body = k
-        if interior_slack(body, np.zeros(body.dim)) < INTERIOR_MARGIN:
+        if interior_slack(body, np.zeros(body.dim)) < _interior_margin(body):
             raise GaugeError("origin is not interior to the body")
     direction = _as_vector(u, body.dim)
     if np.linalg.norm(direction) < EPS_GEOMETRY:

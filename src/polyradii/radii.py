@@ -5,10 +5,15 @@ programming.  In the plane, where exact facet enumeration is available,
 circumradius and inradius solve one small facet LP at every size (a point
 or segment gauge takes the circumradius vertex LP), and gauges are read off
 the facets; off-plane they are convex-coefficient LPs over the vertex
-representations, one gauge LP per point.  Gauge bodies are used
-exactly as given whenever the origin is already interior; otherwise they are
-recentered by an interior point, which is legal for all four quantities
-because each is invariant under independent translations of both arguments.
+representations, one gauge LP per point.  The planar diameter and the
+chain's pair-gauge member swap the maximum over vertex pairs for one over
+the gauge's polar vertices p_f = n_f / b_f:
+sup_{i,j} gauge(v_j - v_i) = max_f (h_K(p_f) + h_K(-p_f)).
+
+Gauge bodies are used exactly as given whenever the origin is already
+interior; otherwise they are recentered by an interior point, which is
+legal for all four quantities because each is invariant under independent
+translations of both arguments.
 """
 
 from __future__ import annotations
@@ -22,18 +27,19 @@ from .convex_core import (
     DimensionMismatchError,
     VPolytope,
     _as_vector,
+    _extent,
+    _interior_margin,
     difference_hull,
     facets_2d,
     hull_2d,
     interior_point,
     interior_slack,
-    INTERIOR_MARGIN,
 )
 from .functionals import (
     FunctionalValue,
     GaugeBody,
     GaugeError,
-    _gauge_evaluator,
+    _GaugeEvaluator,
     _gauge_lp,
     gauge,
     support_values,
@@ -309,6 +315,10 @@ def diameter(k: VPolytope, c: VPolytope) -> RadiiResult:
 
     The supremum over the hull is attained on vertex pairs; the witness is
     the lexicographically first attaining index pair of the vertex list.
+    In the plane the pair maximum is swapped with the facet maximum: with
+    p_f = n_f / b_f the polar vertices of (C-C)/2,
+    D = max_f (h_K(p_f) + h_K(-p_f)), the widest strip between parallel
+    supporting lines of K measured in the gauge, read off one n x F product.
     """
     _check_dims(k, c)
     gb = _half_difference_gauge(c)
@@ -316,15 +326,20 @@ def diameter(k: VPolytope, c: VPolytope) -> RadiiResult:
     n = verts.shape[0]
     if n == 1:
         return RadiiResult("D", 0.0, pair=(0, 0))
-    evaluate = _gauge_evaluator(gb.body)
+    evaluate = _GaugeEvaluator(gb.body)
 
     def row(i: int) -> np.ndarray:
         return evaluate(verts[i + 1:] - verts[i])
 
-    # Only each row's maximum is kept; the first attaining row is evaluated
-    # again for its first attaining column.
-    row_max = np.array([row(i).max() for i in range(n - 1)])
+    if k.dim == 2:
+        # The gauge of (C-C)/2 is symmetric, so the first row attaining the
+        # maximum over all partners also attains it over its later ones.
+        row_max = evaluate.pairwise_maxima(verts)[:-1]
+    else:
+        # Off-plane only each row's maximum over later partners is kept.
+        row_max = np.array([row(i).max() for i in range(n - 1)])
     top = float(row_max.max())
+    # The first attaining row is evaluated again for its first attaining column.
     i = int(np.argmax(row_max >= _tie_floor(top)))
     j = i + 1 + int(np.argmax(row(i) >= _tie_floor(top)))
     return RadiiResult("D", max(0.0, top), pair=(i, j))
@@ -476,7 +491,7 @@ def symmetric_circumradius(k: VPolytope, c: GaugeBody) -> float:
 def _interior_gauge(c: VPolytope) -> tuple[GaugeBody, np.ndarray]:
     """C as a gauge body: as given when the origin is interior, else recentered."""
     shift = np.zeros(c.dim)
-    if interior_slack(c, shift) >= INTERIOR_MARGIN:
+    if interior_slack(c, shift) >= _interior_margin(c):
         return GaugeBody(c, shift), shift
     shift = interior_point(c)
     return GaugeBody.from_polytope(VPolytope(c.vertices - shift)), shift
@@ -489,26 +504,17 @@ def _unit_rows(vertices: np.ndarray) -> np.ndarray:
 
 
 def _gauge_is_centered(c: VPolytope, rng: np.random.Generator) -> bool:
+    tol = _CENTERED_TOL * _extent(c)
     if c.dim == 2:
         hull = hull_2d(c.vertices)
         if len(hull) == 1:
-            return bool(np.linalg.norm(hull.vertices[0]) <= _CENTERED_TOL)
+            return bool(np.linalg.norm(hull.vertices[0]) <= tol)
         dirs = facets_2d(hull).normals
     else:
         dirs = np.vstack([_unit_rows(c.vertices), rng.normal(size=(200, c.dim))])
     forward = support_values(c, dirs)
     backward = support_values(c, -dirs)
-    return bool(np.abs(forward - backward).max() <= _CENTERED_TOL)
-
-
-def _max_pairwise_gauge(k: VPolytope, gb: GaugeBody) -> float:
-    verts = k.vertices
-    n = verts.shape[0]
-    if n == 1:
-        return 0.0
-    evaluate = _gauge_evaluator(gb.body)
-    return max(float(evaluate(np.delete(verts, i, axis=0) - verts[i]).max())
-               for i in range(n))
+    return bool(np.abs(forward - backward).max() <= tol)
 
 
 def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
@@ -546,7 +552,7 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     a2 = diameter(k, c).value
     a3 = circumradius(a, VPolytope(0.5 * b.vertices)).value
     a4 = circumradius(a, c).value
-    a5 = _max_pairwise_gauge(k, gauge_c)
+    a5 = float(_GaugeEvaluator(gauge_c.body).pairwise_maxima(k.vertices).max())
 
     # Chord-ratio representation of the diameter (convex bodies).
     # Chord lengths are reciprocal gauges of the centered bodies K-K and
@@ -554,8 +560,8 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     # directions with no chord of K-K or a vanishing chord of C-C.
     chord_sweep = np.vstack([_unit_rows(a.vertices), _unit_rows(b.vertices),
                              chord_samples])
-    gamma_a = _gauge_evaluator(a)(chord_sweep)
-    gamma_b = _gauge_evaluator(b)(chord_sweep)
+    gamma_a = _GaugeEvaluator(a)(chord_sweep)
+    gamma_b = _GaugeEvaluator(b)(chord_sweep)
     keep = np.isfinite(gamma_a) & (gamma_b < 1e12)
     chord_value = 2.0 * float(np.max(gamma_b[keep] / gamma_a[keep])) if keep.any() else 0.0
 

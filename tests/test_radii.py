@@ -235,21 +235,51 @@ def test_diameter_pair_witness_attains_via_two_point_circumradius():
         assert attained <= res.value + 1e-6
 
 
-def test_diameter_planar_path_matches_pairwise_gauge_lp():
-    rng = np.random.default_rng(241)
-    from polyradii.radii import _half_difference_gauge
+def _lattice_polygon(rng, n):
+    while True:
+        verts = rng.integers(-3, 4, size=(n, 2)).astype(float)
+        if np.linalg.matrix_rank(verts - verts[0]) == 2:
+            return VPolytope(verts)
 
-    for _ in range(10):
-        k = random_polytope(rng, 2)
-        c = random_full_dim(rng, 2)
+
+def _planar_pairs_with_ties():
+    """Random pairs, integer-lattice pairs and a Reuleaux pair; the last two
+    have many pairs tied at the diameter."""
+    rng = np.random.default_rng(241)
+    pairs = [(random_polytope(rng, 2), random_full_dim(rng, 2)) for _ in range(10)]
+    lattice = np.random.default_rng(242)
+    pairs += [(_lattice_polygon(lattice, 8), _lattice_polygon(lattice, 5)) for _ in range(6)]
+    reuleaux = make_body(BodySpec("reuleaux_triangle", n=24))
+    pairs.append((transform(reuleaux, 1.0, [0.0, 0.0], reflect=True), reuleaux))
+    return pairs
+
+
+def test_diameter_planar_path_matches_pairwise_gauge_lp():
+    from polyradii.radii import _half_difference_gauge, _tie_floor
+
+    for k, c in _planar_pairs_with_ties():
         res = diameter(k, c)
         gb = _half_difference_gauge(c)
-        brute = 0.0
-        for i in range(len(k.vertices)):
-            for j in range(len(k.vertices)):
-                if i != j:
-                    brute = max(brute, gauge(gb, k.vertices[j] - k.vertices[i]).value)
-        assert res.value == pytest.approx(brute, abs=1e-7)
+        verts = k.vertices
+        n = len(verts)
+        # The gauge of (C-C)/2 is symmetric, so the pairs i < j suffice.
+        brute = {(i, j): gauge(gb, verts[j] - verts[i]).value
+                 for i in range(n) for j in range(i + 1, n)}
+        top = max(brute.values())
+        first = min(pair for pair, value in brute.items() if value >= _tie_floor(top))
+        assert res.value == pytest.approx(top, abs=1e-7)
+        assert res.pair == first
+
+
+def test_chain_a5_matches_ordered_pair_gauge_lps():
+    from polyradii.radii import _interior_gauge
+
+    for k, c in _planar_pairs_with_ties():
+        gb, _ = _interior_gauge(c)
+        verts = k.vertices
+        brute = max(gauge(gb, verts[j] - verts[i]).value
+                    for i in range(len(verts)) for j in range(len(verts)) if i != j)
+        assert verify_chain(k, c).a5 == pytest.approx(brute, abs=1e-7)
 
 
 def test_diameter_in_three_dimensions():
@@ -573,14 +603,21 @@ def _distorted(label):
     return transform(SQUARE, scale, k_offset), transform(TRIANGLE, scale, c_offset)
 
 
+def _members(report):
+    return [report.a1, report.a2, report.a3, report.a4, report.a5]
+
+
 @pytest.mark.parametrize("label", list(DISTORTIONS))
 def test_radii_and_width_invariant_under_scale_and_offsets(label):
-    # D and the chain are not covered: at scales 1e9 and 1e-9 they still
-    # fail on the absolute interior-slack margin.
     k, c = _distorted(label)
-    for quantity in (circumradius, inradius, min_width):
+    for quantity in (circumradius, inradius, min_width, diameter):
         unit = quantity(SQUARE, TRIANGLE).value
         assert quantity(k, c).value == pytest.approx(unit, rel=1e-7)
+    assert diameter(k, c).pair == (0, 3)
+    unit_chain = verify_chain(SQUARE, TRIANGLE)
+    chain = verify_chain(k, c)
+    assert _members(chain) == pytest.approx(_members(unit_chain), rel=1e-7)
+    assert chain.flags == unit_chain.flags
 
 
 @pytest.mark.parametrize("label", ["scale-1e-9", "offset-1e7"])

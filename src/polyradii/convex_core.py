@@ -10,6 +10,7 @@ is exact and cheap.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +22,9 @@ from .lp_solver import EQUAL, LinearProgram
 EPS_GEOMETRY = 1e-9
 EPS_LP = 1e-7
 
-# Positive slack, relative to the body's extent, needed to certify a point
-# as interior / a body as full-dimensional.
+# Positive slack needed to certify a point as interior / a body as
+# full-dimensional; below unit extent it shrinks with the body (see
+# _interior_margin).
 INTERIOR_MARGIN = 1e-9
 
 
@@ -305,9 +307,34 @@ def _extent(p: VPolytope) -> float:
     return float(np.ptp(p.vertices, axis=0).max()) or 1.0
 
 
+def _power_of_two_scale(peak: float) -> float:
+    """The power of two that brings ``peak`` within 2**±4 of 1.
+
+    Multiplying an LP row by it is exact, so the row keeps its solution
+    while its entries come near unit size for the solver's fixed tolerances.
+    Peaks already in that band, and zero peaks, get 1, so programs near unit
+    scale are solved exactly as given.
+    """
+    if peak <= 0.0:
+        return 1.0
+    exponent = round(math.log2(peak))
+    return 2.0 ** (min(max(exponent, -4), 4) - exponent)
+
+
+def _column_scales(points: np.ndarray) -> np.ndarray:
+    """``_power_of_two_scale`` of each column's largest absolute entry."""
+    return np.array([_power_of_two_scale(peak)
+                     for peak in np.abs(points).max(axis=0).tolist()])
+
+
 def _interior_margin(p: VPolytope) -> float:
-    """Least slack certifying a point interior to p, relative to its extent."""
-    return INTERIOR_MARGIN * _extent(p)
+    """Least slack certifying a point interior to p.
+
+    Below unit extent the margin is relative to the extent, so a body and its
+    scaled copy certify alike; from unit extent up it stays INTERIOR_MARGIN,
+    so long thin bodies keep certifying at any aspect the LP resolves.
+    """
+    return INTERIOR_MARGIN * min(1.0, _extent(p))
 
 
 def _axis_slack(p: VPolytope, center: np.ndarray | None) -> tuple[np.ndarray, float]:
@@ -315,16 +342,20 @@ def _axis_slack(p: VPolytope, center: np.ndarray | None) -> tuple[np.ndarray, fl
 
     With ``center=None`` the center is a free variable; the optimum then
     certifies full-dimensionality (rho > 0 iff the body has interior).  The
-    LP is solved on (vertices - centroid) / extent, so its fixed tolerances
-    hold at any scale and offset, and the point and rho are mapped back;
-    compare rho with ``_interior_margin(p)``.
+    LP is solved on (vertices - centroid) / extent with each axis scaled by
+    ``_column_scales`` and rho in units of the thinnest axis, so its fixed
+    tolerances hold at any scale, offset and axis aspect; the point and rho
+    are mapped back.  Compare rho with ``_interior_margin(p)``.
     """
     n, d = p.vertices.shape
     centroid = p.vertices.mean(axis=0)
     extent = _extent(p)
     verts = (p.vertices - centroid) / extent
+    axis_scale = _column_scales(verts)
+    rho_scale = axis_scale.max()
+    verts = verts * axis_scale
     fixed = center is not None
-    local_center = (center - centroid) / extent if fixed else None
+    local_center = (center - centroid) / extent * axis_scale if fixed else None
     extra = 0 if fixed else d
     width = extra + 1 + 2 * d * n
     rows = 2 * d * (d + 1)
@@ -334,9 +365,9 @@ def _axis_slack(p: VPolytope, center: np.ndarray | None) -> tuple[np.ndarray, fl
     for k, direction in enumerate(directions):
         block = extra + 1 + k * n
         r0 = k * (d + 1)
-        # sum_i w_i v_i - center - rho * direction = 0
+        # sum_i w_i v_i - center - rho * direction = 0, in scaled units
         lhs[r0:r0 + d, block:block + n] = verts.T
-        lhs[r0:r0 + d, extra] = -direction
+        lhs[r0:r0 + d, extra] = -direction * axis_scale / rho_scale
         if fixed:
             rhs[r0:r0 + d] = local_center
         else:
@@ -351,8 +382,8 @@ def _axis_slack(p: VPolytope, center: np.ndarray | None) -> tuple[np.ndarray, fl
         return (center if fixed else p.vertices[0]), -1.0
     if out.status != lp_solver.OPTIMAL:
         raise RuntimeError(f"interior-slack LP failed with status {out.status}")
-    point = center if fixed else centroid + extent * out.solution[:d]
-    return np.asarray(point, dtype=float), extent * float(out.solution[extra])
+    point = center if fixed else centroid + extent * out.solution[:d] / axis_scale
+    return np.asarray(point, dtype=float), extent * float(out.solution[extra]) / rho_scale
 
 
 def interior_slack(p: VPolytope, point) -> float:

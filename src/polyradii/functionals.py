@@ -21,7 +21,9 @@ from .convex_core import (
     HPolytope,
     VPolytope,
     _as_vector,
+    _column_scales,
     _interior_margin,
+    _power_of_two_scale,
     difference_hull,
     facets_2d,
     interior_slack,
@@ -84,7 +86,7 @@ def width_fn(k: VPolytope, u) -> FunctionalValue:
     return FunctionalValue(float(value))
 
 
-def _gauge_lp(vertices: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray | None]:
+class _GaugeLP:
     """Least lambda with x in lambda*conv(vertices), and its dual normal.
 
     Solved as min sum(nu) subject to sum(nu_i v_i) = x, nu >= 0: the scaled
@@ -92,14 +94,31 @@ def _gauge_lp(vertices: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray | 
     satisfies v_i.y <= 1 for every vertex and y.x = lambda, so it is a
     supporting normal of the hull where the ray through x leaves it.  The
     value is inf when x is off the cone of the vertices.
+
+    Each coordinate row is scaled by ``_column_scales`` of the vertices, and
+    x by ``_power_of_two_scale`` of its largest scaled entry, so the solver's
+    fixed tolerances hold at any scale and axis aspect and for any length of
+    x.  The rows keep their weights; the value is divided by the scale of x
+    and the dual normal multiplied by the row scales.  The scaled rows are
+    built once per body and shared by every x.
     """
-    out = lp_solver.solve(LinearProgram(np.ones(vertices.shape[0]), vertices.T,
-                                        (EQUAL,) * vertices.shape[1], x))
-    if out.status == lp_solver.INFEASIBLE:
-        return np.inf, None
-    if out.status != lp_solver.OPTIMAL:
-        raise RuntimeError(f"gauge LP failed with status {out.status}")
-    return max(0.0, out.value), out.duals
+
+    def __init__(self, vertices: np.ndarray):
+        self.scale = _column_scales(vertices)
+        self.lhs = (vertices * self.scale).T
+        self.objective = np.ones(vertices.shape[0])
+        self.relations = (EQUAL,) * vertices.shape[1]
+
+    def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
+        rhs = x * self.scale
+        length = _power_of_two_scale(float(np.abs(rhs).max()))
+        out = lp_solver.solve(LinearProgram(self.objective, self.lhs, self.relations,
+                                            rhs * length))
+        if out.status == lp_solver.INFEASIBLE:
+            return np.inf, None
+        if out.status != lp_solver.OPTIMAL:
+            raise RuntimeError(f"gauge LP failed with status {out.status}")
+        return max(0.0, out.value / length), out.duals * self.scale
 
 
 class _GaugeEvaluator:
@@ -112,20 +131,21 @@ class _GaugeEvaluator:
     """
 
     def __init__(self, body: VPolytope):
-        self.vertices = body.vertices
         self.polar_vertices = None
         if body.dim == 2:
             f = facets_2d(body)
             if not f.lower_dimensional:
                 self.polar_vertices = (f.normals / f.offsets[:, None]).T
+                return
+        self.lp = _GaugeLP(body.vertices)
 
     def __call__(self, points) -> np.ndarray:
         points = np.atleast_2d(points)
         if self.polar_vertices is not None:
             return np.maximum((points @ self.polar_vertices).max(axis=1), 0.0)
-        return np.array([_gauge_lp(self.vertices, p)[0] for p in points])
+        return np.array([self.lp(p)[0] for p in points])
 
-    def pairwise_maxima(self, points: np.ndarray) -> np.ndarray:
+    def pairwise_maxima(self, points: np.ndarray, symmetric: bool = False) -> np.ndarray:
         """For each row v_i of ``points``, max over rows v_j of gauge(v_j - v_i).
 
         In the plane the two maxima swap: with P = V @ polar,
@@ -133,14 +153,18 @@ class _GaugeEvaluator:
         polar vertex, so one n x F product replaces n rows of n x F gauge
         evaluations.  The points are centred first, as differences are, so
         the products do not carry their offset.  Any other body takes one
-        gauge LP per ordered pair.
+        gauge LP per ordered pair, or, for a ``symmetric`` body, per later
+        partner j > i only.  The overall maximum and the first row attaining
+        it are the same either way.
         """
         if self.polar_vertices is not None:
             products = (points - points.mean(axis=0)) @ self.polar_vertices
             np.subtract(products.max(axis=0), products, out=products)
             return np.maximum(products.max(axis=1), 0.0)
-        return np.array([self(np.delete(points, i, axis=0) - points[i]).max(initial=0.0)
-                         for i in range(points.shape[0])])
+        return np.array([
+            self((points[i + 1:] if symmetric else np.delete(points, i, axis=0))
+                 - points[i]).max(initial=0.0)
+            for i in range(points.shape[0])])
 
 
 def gauge(c: GaugeBody, x) -> FunctionalValue:
@@ -149,7 +173,7 @@ def gauge(c: GaugeBody, x) -> FunctionalValue:
     The witness is the boundary point where the ray through x leaves the body.
     """
     point = _as_vector(x, c.dim)
-    value, _ = _gauge_lp(c.body.vertices, point)
+    value, _ = _GaugeLP(c.body.vertices)(point)
     if not np.isfinite(value):
         raise RuntimeError("gauge LP failed with status infeasible")
     witness = point / value if value > EPS_GEOMETRY else None
@@ -171,7 +195,7 @@ def radius_fn(k: VPolytope | GaugeBody, u) -> FunctionalValue:
     direction = _as_vector(u, body.dim)
     if np.linalg.norm(direction) < EPS_GEOMETRY:
         raise ValueError("direction must be nonzero")
-    value, _ = _gauge_lp(body.vertices, direction)
+    value, _ = _GaugeLP(body.vertices)(direction)
     if not np.isfinite(value):
         raise RuntimeError("radius LP infeasible despite interior origin")
     alpha = 1.0 / value
@@ -183,7 +207,7 @@ def max_chord(k: VPolytope, u) -> FunctionalValue:
     direction = _as_vector(u, k.dim)
     if np.linalg.norm(direction) < EPS_GEOMETRY:
         raise ValueError("direction must be nonzero")
-    value, _ = _gauge_lp(difference_hull(k).vertices, direction)
+    value, _ = _GaugeLP(difference_hull(k).vertices)(direction)
     if not np.isfinite(value):
         # The ray leaves the difference body immediately: zero-length chord.
         return FunctionalValue(0.0, np.zeros(k.dim))

@@ -40,7 +40,7 @@ from .functionals import (
     GaugeBody,
     GaugeError,
     _GaugeEvaluator,
-    _gauge_lp,
+    _GaugeLP,
     gauge,
     support_values,
 )
@@ -327,21 +327,13 @@ def diameter(k: VPolytope, c: VPolytope) -> RadiiResult:
     if n == 1:
         return RadiiResult("D", 0.0, pair=(0, 0))
     evaluate = _GaugeEvaluator(gb.body)
-
-    def row(i: int) -> np.ndarray:
-        return evaluate(verts[i + 1:] - verts[i])
-
-    if k.dim == 2:
-        # The gauge of (C-C)/2 is symmetric, so the first row attaining the
-        # maximum over all partners also attains it over its later ones.
-        row_max = evaluate.pairwise_maxima(verts)[:-1]
-    else:
-        # Off-plane only each row's maximum over later partners is kept.
-        row_max = np.array([row(i).max() for i in range(n - 1)])
+    # The gauge of (C-C)/2 is symmetric, so the first row attaining the
+    # maximum has an attaining partner after it; that row is evaluated again
+    # for its first attaining column.
+    row_max = evaluate.pairwise_maxima(verts, symmetric=True)
     top = float(row_max.max())
-    # The first attaining row is evaluated again for its first attaining column.
     i = int(np.argmax(row_max >= _tie_floor(top)))
-    j = i + 1 + int(np.argmax(row(i) >= _tie_floor(top)))
+    j = i + 1 + int(np.argmax(evaluate(verts[i + 1:] - verts[i]) >= _tie_floor(top)))
     return RadiiResult("D", max(0.0, top), pair=(i, j))
 
 
@@ -371,11 +363,12 @@ def _pinned_inscription_lp(a: VPolytope, b: VPolytope):
     dual normal supports A at the contact, i.e. is a minimising width
     direction.
     """
+    gauge_lp = _GaugeLP(a.vertices)
     gauges = []
     for w in b.vertices:
         if np.linalg.norm(w) <= 1e-12:
             continue  # the origin imposes no constraint
-        value, normal = _gauge_lp(a.vertices, w)
+        value, normal = gauge_lp(w)
         if not np.isfinite(value):
             return 0.0, None
         gauges.append((value, normal))

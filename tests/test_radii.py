@@ -620,6 +620,40 @@ def test_radii_and_width_invariant_under_scale_and_offsets(label):
     assert chain.flags == unit_chain.flags
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-10, 1e9, 1e12])
+def test_spatial_diameter_and_gauge_invariant_under_scale(scale):
+    # Off the plane D and the gauge run on vertex LPs, which must not
+    # return silently wrong values far from unit scale.
+    k = make_body(BodySpec("simplex", dim=3))
+    c = make_body(BodySpec("cube", dim=3))
+    unit = diameter(k, c)
+    assert unit.value == pytest.approx(1.0, rel=1e-9)
+    scaled = diameter(VPolytope(scale * k.vertices), VPolytope(scale * c.vertices))
+    assert scaled.value == pytest.approx(unit.value, rel=1e-7)
+    assert scaled.pair == unit.pair
+    x = np.array([0.3, -0.2, 0.1])
+    cube = GaugeBody.from_polytope(VPolytope(scale * c.vertices))
+    assert gauge(cube, scale * x).value == pytest.approx(
+        gauge(GaugeBody.from_polytope(c), x).value, rel=1e-7)
+    square = GaugeBody.from_polytope(VPolytope(scale * SQUARE.vertices))
+    assert gauge(square, [2.0 * scale, 0.0]).value == pytest.approx(
+        gauge(GaugeBody.from_polytope(SQUARE), [2.0, 0.0]).value, rel=1e-7)
+
+
+@pytest.mark.parametrize("length", [1e9, 4e9])
+def test_long_thin_gauges_certify(length):
+    # A thin body of unit thickness is full-dimensional at any length the
+    # LPs resolve; its slack stays far above the margin in absolute terms.
+    rectangle = VPolytope([[-length, -0.5], [length, -0.5], [length, 0.5], [-length, 0.5]])
+    assert gauge(GaugeBody.from_polytope(rectangle), [length / 2, 0.25]).value == (
+        pytest.approx(0.5, rel=1e-7))
+    assert diameter(rectangle, rectangle).value == pytest.approx(2.0, rel=1e-7)
+    box = VPolytope([[sx * length, sy, sz] for sx in (-1, 1) for sy in (-1, 1)
+                     for sz in (-1, 1)])
+    assert gauge(GaugeBody.from_polytope(box), [length / 2, 0.5, 0.25]).value == (
+        pytest.approx(0.5, rel=1e-7))
+
+
 @pytest.mark.parametrize("label", ["scale-1e-9", "offset-1e7"])
 def test_difference_hull_survives_scale_and_offsets(label):
     k, c = _distorted(label)

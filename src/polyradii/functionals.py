@@ -1,8 +1,9 @@
 """Support, width, gauge, radius, chord-length, and polar machinery.
 
 All functionals are exact on V-polytopes: supports are vertex maxima and
-gauges are tiny LPs over scaled convex weights (read off the facets for
-planar batches); radius and chord lengths are reciprocal gauges.  A gauge
+gauges are tiny LPs over scaled convex weights; batches read them off the
+polar vertices in the plane and off the facet cones their LPs have met
+elsewhere.  Radius and chord lengths are reciprocal gauges.  A gauge
 is always evaluated on the body exactly as given; it is an error if the
 origin is not interior, because the Minkowski functional is translation
 sensitive and silent recentering would change its values.
@@ -29,6 +30,13 @@ from .convex_core import (
     interior_slack,
 )
 from .lp_solver import EQUAL, LinearProgram
+
+# A cached facet cone holds a point when the point's weights are non-negative
+# up to this fraction of their total size.
+_CONE_TOL = 1e-12
+# Bases with a larger condition number are not cached: their points keep
+# taking LPs.
+_BASIS_COND = 1e6
 
 
 class GaugeError(ValueError):
@@ -100,7 +108,8 @@ class _GaugeLP:
     fixed tolerances hold at any scale and axis aspect and for any length of
     x.  The rows keep their weights; the value is divided by the scale of x
     and the dual normal multiplied by the row scales.  The scaled rows are
-    built once per body and shared by every x.
+    built once per body and shared by every x.  The optimal basis is passed
+    on as the solver reports it (None when the value is inf).
     """
 
     def __init__(self, vertices: np.ndarray):
@@ -109,25 +118,34 @@ class _GaugeLP:
         self.objective = np.ones(vertices.shape[0])
         self.relations = (EQUAL,) * vertices.shape[1]
 
-    def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
+    def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray | None,
+                                              np.ndarray | None]:
         rhs = x * self.scale
         length = _power_of_two_scale(float(np.abs(rhs).max()))
         out = lp_solver.solve(LinearProgram(self.objective, self.lhs, self.relations,
                                             rhs * length))
         if out.status == lp_solver.INFEASIBLE:
-            return np.inf, None
+            return np.inf, None, None
         if out.status != lp_solver.OPTIMAL:
             raise RuntimeError(f"gauge LP failed with status {out.status}")
-        return max(0.0, out.value / length), out.duals * self.scale
+        return max(0.0, out.value / length), out.duals * self.scale, out.basis
 
 
 class _GaugeEvaluator:
     """Batched gauge of a body over the rows of a point array.
 
     Planar full-dimensional bodies read it off their polar vertices
-    p_f = n_f / b_f in one product, which needs the origin interior; any
-    other body takes one gauge LP per point, and the gauge is inf off the
-    cone of its vertices.
+    p_f = n_f / b_f in one product, which needs the origin interior.  Any
+    other body solves gauge LPs and caches the facets they meet: an optimal
+    basis of d vertex columns B_f spans the cone over one facet, on which
+    the gauge is linear.  A later point x with weights mu = B_f^-1 x >= 0
+    has gauge sum(mu), certified both ways: mu is a feasible weight vector,
+    and the basis dual y_f = B_f^-T 1, a polar vertex by the LP's
+    optimality, gives y_f.x = sum(mu).  Each batch is tested against every
+    cached cone at once, and only the points no cone holds take an LP.  The
+    cache lives as long as the evaluator.  The gauge is inf off the cone of
+    the vertices, where the LP is infeasible and caches nothing; nor does a
+    flat body's LP, whose basis keeps an artificial column.
     """
 
     def __init__(self, body: VPolytope):
@@ -138,12 +156,48 @@ class _GaugeEvaluator:
                 self.polar_vertices = (f.normals / f.offsets[:, None]).T
                 return
         self.lp = _GaugeLP(body.vertices)
+        # Inverse bases of the cached facets, stacked as (facets * d, d).
+        self.inverses = np.empty((0, body.dim))
 
     def __call__(self, points) -> np.ndarray:
         points = np.atleast_2d(points)
         if self.polar_vertices is not None:
             return np.maximum((points @ self.polar_vertices).max(axis=1), 0.0)
-        return np.array([self.lp(p)[0] for p in points])
+        values = self._lookup(points, self.inverses)
+        for i in np.flatnonzero(np.isnan(values)):
+            if not np.isnan(values[i]):
+                continue  # held by a facet cached after the first lookup
+            values[i], _, basis = self.lp(points[i])
+            inverse = self._facet_inverse(basis)
+            if inverse is not None:
+                self.inverses = np.vstack([self.inverses, inverse])
+                rest = np.flatnonzero(np.isnan(values))
+                values[rest] = self._lookup(points[rest], inverse)
+        return values
+
+    def _lookup(self, points: np.ndarray, inverses: np.ndarray) -> np.ndarray:
+        """Gauge of each point from the first cached cone holding it, else nan."""
+        count, d = points.shape
+        values = np.full(count, np.nan)
+        facets = inverses.shape[0] // d
+        if facets == 0:
+            return values
+        weights = ((points * self.lp.scale) @ inverses.T).reshape(count, facets, d)
+        inside = weights.min(axis=2) >= -_CONE_TOL * np.abs(weights).sum(axis=2)
+        hit = np.flatnonzero(inside.any(axis=1))
+        first = inside[hit].argmax(axis=1)
+        values[hit] = np.maximum(weights[hit, first].sum(axis=1), 0.0)
+        return values
+
+    def _facet_inverse(self, basis: np.ndarray | None) -> np.ndarray | None:
+        """B_f^-1 of an optimal basis of d well-conditioned vertex columns,
+        else None."""
+        if basis is None or (basis >= self.lp.lhs.shape[1]).any():
+            return None  # inf, or an artificial column parked on a flat body
+        columns = self.lp.lhs[:, basis]
+        if np.linalg.cond(columns) > _BASIS_COND:
+            return None
+        return np.linalg.inv(columns)
 
     def pairwise_maxima(self, points: np.ndarray, symmetric: bool = False) -> np.ndarray:
         """For each row v_i of ``points``, max over rows v_j of gauge(v_j - v_i).
@@ -152,10 +206,10 @@ class _GaugeEvaluator:
         max_j max_f (P[j, f] - P[i, f]) is a support-function difference per
         polar vertex, so one n x F product replaces n rows of n x F gauge
         evaluations.  The points are centred first, as differences are, so
-        the products do not carry their offset.  Any other body takes one
-        gauge LP per ordered pair, or, for a ``symmetric`` body, per later
-        partner j > i only.  The overall maximum and the first row attaining
-        it are the same either way.
+        the products do not carry their offset.  Any other body evaluates
+        every ordered pair, or, for a ``symmetric`` body, every later partner
+        j > i only, one batch per row through the facet cache.  The overall
+        maximum and the first row attaining it are the same either way.
         """
         if self.polar_vertices is not None:
             products = (points - points.mean(axis=0)) @ self.polar_vertices
@@ -173,7 +227,7 @@ def gauge(c: GaugeBody, x) -> FunctionalValue:
     The witness is the boundary point where the ray through x leaves the body.
     """
     point = _as_vector(x, c.dim)
-    value, _ = _GaugeLP(c.body.vertices)(point)
+    value = _GaugeLP(c.body.vertices)(point)[0]
     if not np.isfinite(value):
         raise RuntimeError("gauge LP failed with status infeasible")
     witness = point / value if value > EPS_GEOMETRY else None
@@ -195,7 +249,7 @@ def radius_fn(k: VPolytope | GaugeBody, u) -> FunctionalValue:
     direction = _as_vector(u, body.dim)
     if np.linalg.norm(direction) < EPS_GEOMETRY:
         raise ValueError("direction must be nonzero")
-    value, _ = _GaugeLP(body.vertices)(direction)
+    value = _GaugeLP(body.vertices)(direction)[0]
     if not np.isfinite(value):
         raise RuntimeError("radius LP infeasible despite interior origin")
     alpha = 1.0 / value
@@ -207,7 +261,7 @@ def max_chord(k: VPolytope, u) -> FunctionalValue:
     direction = _as_vector(u, k.dim)
     if np.linalg.norm(direction) < EPS_GEOMETRY:
         raise ValueError("direction must be nonzero")
-    value, _ = _GaugeLP(difference_hull(k).vertices)(direction)
+    value = _GaugeLP(difference_hull(k).vertices)(direction)[0]
     if not np.isfinite(value):
         # The ray leaves the difference body immediately: zero-length chord.
         return FunctionalValue(0.0, np.zeros(k.dim))

@@ -79,16 +79,21 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpOutcome:
-    """Solver verdict.  solution/value/duals are populated only when optimal.
+    """Solver verdict.  solution/value/duals/basis are populated only when optimal.
 
     ``duals`` carries one multiplier per constraint row, oriented to the row
-    as given (see :func:`solve`).
+    as given (see :func:`solve`).  ``basis`` holds the index of the basic
+    column of each row in the solver's standard form: indices below the
+    variable count are the program's own variables (the positive part of a
+    free one); larger ones are the negative parts of free variables, then
+    slacks, then artificials parked on dependent rows.
     """
 
     status: str
     solution: np.ndarray | None = None
     value: float | None = None
     duals: np.ndarray | None = None
+    basis: np.ndarray | None = None
 
 
 def solve(lp: LinearProgram, *, pivot_tol: float = PIVOT_TOL,
@@ -231,7 +236,8 @@ def solve(lp: LinearProgram, *, pivot_tol: float = PIVOT_TOL,
         return LpOutcome(NUMERICAL_FAILURE)
 
     duals = _recover_duals(a_std, basis, cost2, row_sign)
-    return LpOutcome(OPTIMAL, solution=solution, value=value, duals=duals)
+    return LpOutcome(OPTIMAL, solution=solution, value=value, duals=duals,
+                     basis=basis.copy())
 
 
 def _install_cost_row(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:

@@ -5,7 +5,8 @@ programming.  In the plane, where exact facet enumeration is available,
 circumradius and inradius solve one small facet LP at every size (a point
 or segment gauge takes the circumradius vertex LP), and gauges are read off
 the facets; off-plane they are convex-coefficient LPs over the vertex
-representations, one gauge LP per point.  The planar diameter and the
+representations (scaled per axis by exact powers of two), and batched
+gauges solve one LP per facet cone they meet.  The planar diameter and the
 chain's pair-gauge member swap the maximum over vertex pairs for one over
 the gauge's polar vertices p_f = n_f / b_f:
 sup_{i,j} gauge(v_j - v_i) = max_f (h_K(p_f) + h_K(-p_f)).
@@ -27,6 +28,7 @@ from .convex_core import (
     DimensionMismatchError,
     VPolytope,
     _as_vector,
+    _column_scales,
     _extent,
     _interior_margin,
     difference_hull,
@@ -151,8 +153,19 @@ def circumradius(k: VPolytope, c: VPolytope) -> RadiiResult:
     return _circumradius_vertex_lp(_dedupe(k), _dedupe(c))
 
 
+def _joint_scales(k: VPolytope, c: VPolytope) -> np.ndarray:
+    """Power-of-two axis scales of both vertex lists together.
+
+    Multiplying both bodies by them is one common linear map, which the
+    vertex LPs' radius does not see; their centre is divided by them after.
+    Near unit scale they are all 1 and the programs are the given ones.
+    """
+    return _column_scales(np.vstack([k.vertices, c.vertices]))
+
+
 def _circumradius_vertex_lp(k: VPolytope, c: VPolytope) -> RadiiResult:
-    kv, cv = k.vertices, c.vertices
+    scale = _joint_scales(k, c)
+    kv, cv = k.vertices * scale, c.vertices * scale
     n, d = kv.shape
     m = cv.shape[0]
     width = d + 1 + n * m
@@ -178,7 +191,7 @@ def _circumradius_vertex_lp(k: VPolytope, c: VPolytope) -> RadiiResult:
             f"circumradius LP ended with status {out.status}; "
             "is the gauge body full-dimensional?"
         )
-    return RadiiResult("R", max(0.0, out.value), center=out.solution[:d])
+    return RadiiResult("R", max(0.0, out.value), center=out.solution[:d] / scale)
 
 
 def _normalised(offsets: np.ndarray, supports: np.ndarray):
@@ -237,7 +250,8 @@ def inradius(k: VPolytope, c: VPolytope) -> RadiiResult:
 
 
 def _inradius_vertex_lp(k: VPolytope, c: VPolytope) -> RadiiResult:
-    kv, cv = k.vertices, c.vertices
+    scale = _joint_scales(k, c)
+    kv, cv = k.vertices * scale, c.vertices * scale
     n, d = kv.shape
     m = cv.shape[0]
     width = d + 1 + m * n
@@ -262,7 +276,7 @@ def _inradius_vertex_lp(k: VPolytope, c: VPolytope) -> RadiiResult:
         raise ValueError("inradius is unbounded: the gauge body is a single point")
     if out.status != lp_solver.OPTIMAL:
         raise RuntimeError(f"inradius LP ended with status {out.status}")
-    return RadiiResult("r", max(0.0, -out.value), center=out.solution[:d])
+    return RadiiResult("r", max(0.0, -out.value), center=out.solution[:d] / scale)
 
 
 def _inradius_facets_2d(k: VPolytope, c: VPolytope) -> RadiiResult:
@@ -364,11 +378,12 @@ def _pinned_inscription_lp(a: VPolytope, b: VPolytope):
     direction.
     """
     gauge_lp = _GaugeLP(a.vertices)
+    floor = 1e-12 * _extent(b)
     gauges = []
     for w in b.vertices:
-        if np.linalg.norm(w) <= 1e-12:
+        if np.linalg.norm(w) <= floor:
             continue  # the origin imposes no constraint
-        value, normal = gauge_lp(w)
+        value, normal, _ = gauge_lp(w)
         if not np.isfinite(value):
             return 0.0, None
         gauges.append((value, normal))
@@ -381,6 +396,13 @@ def _pinned_inscription_lp(a: VPolytope, b: VPolytope):
 
 def _width_ratio(a: VPolytope, b: VPolytope, directions: np.ndarray) -> np.ndarray:
     return 2.0 * support_values(a, directions) / support_values(b, directions)
+
+
+def _unit_rows(vertices: np.ndarray) -> np.ndarray:
+    """The rows scaled to unit length, less those near zero for their scale."""
+    norms = np.linalg.norm(vertices, axis=1)
+    keep = norms > 1e-12 * norms.max()
+    return vertices[keep] / norms[keep, None]
 
 
 def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
@@ -405,23 +427,16 @@ def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
             value = max(0.0, 2.0 * _pinned_inscription_lp(a, b)[0])
         return RadiiResult("omega", value, direction=direction)
 
-    rank = np.linalg.matrix_rank(b.vertices, tol=1e-9)
-    if rank < d:
+    if np.linalg.matrix_rank(b.vertices, tol=1e-9 * _extent(b)) < d:
         raise ValueError("diameter/width need a full-dimensional gauge body")
-    if np.linalg.matrix_rank(a.vertices, tol=1e-9) < d:
+    if np.linalg.matrix_rank(a.vertices, tol=1e-9 * _extent(a)) < d:
         return RadiiResult("omega", 0.0, direction=_degenerate_direction(a))
 
     t_star, normal = _pinned_inscription_lp(a, b)
-    candidates = []
+    rows = [a.vertices, b.vertices]
     if normal is not None:
-        norm = np.linalg.norm(normal)
-        if norm > 1e-9:
-            candidates.extend([normal / norm, -normal / norm])
-    for verts in (a.vertices, b.vertices):
-        norms = np.linalg.norm(verts, axis=1)
-        keep = norms > 1e-9
-        candidates.append(verts[keep] / norms[keep, None])
-    stack = np.vstack([np.atleast_2d(cand) for cand in candidates])
+        rows.insert(0, np.vstack([normal, -normal]))
+    stack = np.vstack([_unit_rows(verts) for verts in rows])
     ratios = _width_ratio(a, b, stack)
     arg = int(np.argmin(ratios))
     return RadiiResult("omega", max(0.0, 2.0 * t_star), direction=stack[arg])
@@ -490,10 +505,6 @@ def _interior_gauge(c: VPolytope) -> tuple[GaugeBody, np.ndarray]:
     return GaugeBody.from_polytope(VPolytope(c.vertices - shift)), shift
 
 
-def _unit_rows(vertices: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(vertices, axis=1)
-    keep = norms > 1e-12
-    return vertices[keep] / norms[keep, None]
 
 
 def _gauge_is_centered(c: VPolytope, rng: np.random.Generator) -> bool:

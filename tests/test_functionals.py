@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from polyradii import lp_solver
 from polyradii.bodies import BodySpec, make_body
 from polyradii.convex_core import VPolytope, difference_hull, member
 from polyradii.functionals import (
     FunctionalValue,
     GaugeBody,
     GaugeError,
+    _GaugeEvaluator,
+    _GaugeLP,
     gauge,
     max_chord,
     polar,
@@ -188,6 +191,64 @@ def test_gauge_body_requires_interior_origin():
     segment = VPolytope([[-1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(GaugeError):
         GaugeBody.from_polytope(segment)
+
+
+# ---------------------------------------------------------------------------
+# the batched gauge's facet-cone cache
+
+
+def _probe_points(rng, vertices):
+    """Random points and points on cone boundaries: vertex directions, edge
+    midpoints and the origin, each also at another length."""
+    n = vertices.shape[0]
+    i, j = np.triu_indices(n, k=1)
+    points = np.vstack([rng.normal(size=(120, vertices.shape[1])), vertices,
+                        0.5 * (vertices[i] + vertices[j]),
+                        np.zeros((1, vertices.shape[1]))])
+    return np.vstack([points, 2.5 * points])
+
+
+def _assert_cache_matches_gauge_lps(monkeypatch, body, points):
+    direct = np.array([_GaugeLP(body.vertices)(p)[0] for p in points])
+    calls = []
+    solve = lp_solver.solve
+    monkeypatch.setattr(lp_solver, "solve", lambda lp, **kw: calls.append(1) or solve(lp, **kw))
+    evaluate = _GaugeEvaluator(body)
+    cached = evaluate(points)
+    monkeypatch.setattr(lp_solver, "solve", solve)
+    assert (np.isinf(cached) == np.isinf(direct)).all()
+    finite = np.isfinite(direct)
+    np.testing.assert_allclose(cached[finite], direct[finite], rtol=1e-12, atol=0.0)
+    return cached, len(calls), evaluate.inverses.shape[0] // body.dim
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_cached_gauge_matches_one_lp_per_point(monkeypatch, dim):
+    rng = np.random.default_rng(dim)
+    bodies = [make_body(BodySpec("cube", dim=dim))]
+    for _ in range(3):
+        p = random_polytope(rng, dim, max_vertices=6)
+        bodies.append(VPolytope(p.vertices - p.vertices.mean(axis=0)))
+        bodies.append(difference_hull(p))
+        bodies.append(p)  # the origin need not be interior: inf off the cone
+    for body in bodies:
+        points = _probe_points(rng, body.vertices)
+        values, solved, facets = _assert_cache_matches_gauge_lps(monkeypatch, body, points)
+        if np.isfinite(values).all():
+            assert 0 < facets <= solved < points.shape[0] // 2
+
+
+def test_flat_body_keeps_one_lp_per_point_and_inf_off_its_cone(monkeypatch):
+    rng = np.random.default_rng(5)
+    triangle = VPolytope([[1.0, 0.0, 0.0], [-0.5, 1.0, 0.0], [-0.5, -1.0, 0.0]])
+    points = np.vstack([_probe_points(rng, triangle.vertices),
+                        rng.normal(size=(20, 2)) @ np.eye(2, 3)])
+    values, solved, facets = _assert_cache_matches_gauge_lps(monkeypatch, triangle, points)
+    assert facets == 0
+    assert solved == points.shape[0]
+    off_plane = points[:, 2] != 0.0
+    assert off_plane.any() and np.isinf(values[off_plane]).all()
+    assert np.isfinite(values[~off_plane]).all()
 
 
 # ---------------------------------------------------------------------------

@@ -248,3 +248,27 @@ def test_duals_are_certificates_on_equality_programs():
         assert (a.T @ out.duals <= c + 1e-8).all()
         assert out.duals @ b == pytest.approx(out.value, abs=1e-7)
         checked += 1
+
+
+def test_basis_reproduces_the_right_hand_side():
+    # For min c'x s.t. Ax = b, x >= 0 every variable off the basis is zero,
+    # so the basic program columns alone reproduce b from the solution.
+    rng = np.random.default_rng(23)
+    checked = 0
+    while checked < 30:
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(m, 8))
+        a = rng.normal(size=(m, n))
+        b = a @ rng.uniform(0.0, 2.0, size=n)
+        out = solve(LinearProgram(rng.normal(size=n), a, (EQUAL,) * m, b))
+        if out.status != OPTIMAL:
+            continue
+        assert out.basis.shape == (m,)
+        assert np.unique(out.basis).size == m
+        structural = out.basis[out.basis < n]
+        assert a[:, structural] @ out.solution[structural] == pytest.approx(b, abs=1e-8)
+        assert (np.delete(out.solution, structural) == 0.0).all()
+        checked += 1
+    infeasible = solve(make_lp([1.0], [([1.0], LESS_EQUAL, -1.0)]))
+    assert infeasible.status == INFEASIBLE
+    assert infeasible.basis is None

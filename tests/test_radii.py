@@ -622,15 +622,31 @@ def test_radii_and_width_invariant_under_scale_and_offsets(label):
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-10, 1e9, 1e12])
 def test_spatial_diameter_and_gauge_invariant_under_scale(scale):
-    # Off the plane D and the gauge run on vertex LPs, which must not
+    # Off the plane every quantity runs on vertex LPs, which must not
     # return silently wrong values far from unit scale.
     k = make_body(BodySpec("simplex", dim=3))
     c = make_body(BodySpec("cube", dim=3))
+    scaled_k, scaled_c = VPolytope(scale * k.vertices), VPolytope(scale * c.vertices)
     unit = diameter(k, c)
     assert unit.value == pytest.approx(1.0, rel=1e-9)
-    scaled = diameter(VPolytope(scale * k.vertices), VPolytope(scale * c.vertices))
+    scaled = diameter(scaled_k, scaled_c)
     assert scaled.value == pytest.approx(unit.value, rel=1e-7)
     assert scaled.pair == unit.pair
+    for quantity, value in ((circumradius, 0.5), (inradius, 1.0 / 6.0)):
+        unit = quantity(k, c)
+        assert unit.value == pytest.approx(value, rel=1e-9)
+        scaled = quantity(scaled_k, scaled_c)
+        assert scaled.value == pytest.approx(unit.value, rel=1e-7)
+        assert scaled.center / scale == pytest.approx(unit.center, rel=1e-7)
+    unit = min_width(k, c)
+    assert unit.value == pytest.approx(1.0 / 3.0, rel=1e-9)
+    scaled = min_width(scaled_k, scaled_c)
+    assert scaled.value == pytest.approx(unit.value, rel=1e-7)
+    assert scaled.direction == pytest.approx(unit.direction, abs=1e-7)
+    unit_chain = verify_chain(k, c)
+    chain = verify_chain(scaled_k, scaled_c)
+    assert _members(chain) == pytest.approx(_members(unit_chain), rel=1e-7)
+    assert chain.ok and unit_chain.ok
     x = np.array([0.3, -0.2, 0.1])
     cube = GaugeBody.from_polytope(VPolytope(scale * c.vertices))
     assert gauge(cube, scale * x).value == pytest.approx(
@@ -638,6 +654,55 @@ def test_spatial_diameter_and_gauge_invariant_under_scale(scale):
     square = GaugeBody.from_polytope(VPolytope(scale * SQUARE.vertices))
     assert gauge(square, [2.0 * scale, 0.0]).value == pytest.approx(
         gauge(GaugeBody.from_polytope(SQUARE), [2.0, 0.0]).value, rel=1e-7)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-10, 1e12])
+def test_planar_min_width_invariant_under_scale(scale):
+    unit = min_width(SQUARE, TRIANGLE)
+    scaled = min_width(transform(SQUARE, scale, [0.0, 0.0]),
+                       transform(TRIANGLE, scale, [0.0, 0.0]))
+    assert scaled.value == pytest.approx(unit.value, rel=1e-7)
+    assert scaled.direction == pytest.approx(unit.direction, abs=1e-7)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+def test_spatial_min_width_direction_invariant_under_scale(scale):
+    # The witness is the best of the LP's dual normal and the vertex
+    # directions; none of them may be dropped for being short at this scale.
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        k, c = random_full_dim(rng, 3), random_full_dim(rng, 3)
+        unit = min_width(k, c)
+        scaled = min_width(VPolytope(scale * k.vertices), VPolytope(scale * c.vertices))
+        assert scaled.value == pytest.approx(unit.value, rel=1e-7)
+        assert scaled.direction == pytest.approx(unit.direction, abs=1e-6)
+
+
+# The 3-D pair of the benchmark's spatial-lp workload before its rotation:
+# 6 Gaussian vertices each, rounded to 6 decimals.
+SPATIAL_K = VPolytope([
+    [0.25146, -0.26421, 1.280845], [0.2098, -1.071339, 0.72319],
+    [2.608, 1.894162, -1.40747], [-2.530843, -1.246549, 0.082652],
+    [-4.650062, -0.437583, -2.491822], [-1.464535, -1.088518, -0.6326],
+])
+SPATIAL_C = VPolytope([
+    [0.823261, 2.085027, -0.257069], [2.732927, -1.330389, 0.70302],
+    [1.80694, 0.188025, -1.486998], [-1.843451, -0.915452, 0.44039],
+    [-2.019236, -0.418351, -0.31845], [1.081691, 0.429318, 0.710745],
+])
+
+
+def test_spatial_chain_reads_gauges_from_cached_facets(monkeypatch):
+    # One gauge LP per point took 775 LPs for this chain; cached facet cones
+    # answer most chord-sweep, a5 and D points with no LP.
+    calls = []
+    solve = lp_solver.solve
+    monkeypatch.setattr(lp_solver, "solve", lambda lp, **kw: calls.append(1) or solve(lp, **kw))
+    report = verify_chain(SPATIAL_K, SPATIAL_C)
+    assert report.ok
+    assert report.a2 == pytest.approx(4.963177852165099, rel=1e-9)
+    assert report.a5 == pytest.approx(6.223615064598571, rel=1e-9)
+    assert len(calls) < 775 // 2
 
 
 @pytest.mark.parametrize("length", [1e9, 4e9])

@@ -3,10 +3,12 @@
 All functionals are exact on V-polytopes: supports are vertex maxima and
 gauges are tiny LPs over scaled convex weights; batches read them off the
 polar vertices in the plane and off the facet cones their LPs have met
-elsewhere.  Radius and chord lengths are reciprocal gauges.  A gauge
-is always evaluated on the body exactly as given; it is an error if the
-origin is not interior, because the Minkowski functional is translation
-sensitive and silent recentering would change its values.
+elsewhere, and can return the polar vertex attaining each value, which is
+what the containment engine's cuts are made of.  Radius and chord lengths
+are reciprocal gauges.  A gauge is always evaluated on the body exactly as
+given; it is an error if the origin is not interior, because the Minkowski
+functional is translation sensitive and silent recentering would change its
+values.
 """
 
 from __future__ import annotations
@@ -149,45 +151,72 @@ class _GaugeEvaluator:
     """
 
     def __init__(self, body: VPolytope):
+        self.facets = None
         self.polar_vertices = None
         if body.dim == 2:
             f = facets_2d(body)
             if not f.lower_dimensional:
+                self.facets = f
                 self.polar_vertices = (f.normals / f.offsets[:, None]).T
                 return
         self.lp = _GaugeLP(body.vertices)
-        # Inverse bases of the cached facets, stacked as (facets * d, d).
+        # Inverse bases of the cached facets, stacked as (facets * d, d), and
+        # the polar vertex y_f of each facet in the body's coordinates.
         self.inverses = np.empty((0, body.dim))
+        self.normals = np.empty((0, body.dim))
 
     def __call__(self, points) -> np.ndarray:
+        return self.with_normals(points)[0]
+
+    def with_normals(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """The gauge of each row and a polar vertex y attaining it.
+
+        y.v <= 1 on every vertex v of the body and y.x = gauge(x): the planar
+        argmax p_f, the cached cone's B_f^-T 1, or the gauge LP's dual
+        normal.  Rows whose gauge is inf get a nan normal.
+        """
         points = np.atleast_2d(points)
         if self.polar_vertices is not None:
-            return np.maximum((points @ self.polar_vertices).max(axis=1), 0.0)
-        values = self._lookup(points, self.inverses)
+            products = points @ self.polar_vertices
+            best = products.argmax(axis=1)
+            values = products[np.arange(points.shape[0]), best]
+            return np.maximum(values, 0.0), self.polar_vertices[:, best].T
+        values, facet = self._lookup(points, 0)
+        normals = np.full(points.shape, np.nan)
         for i in np.flatnonzero(np.isnan(values)):
             if not np.isnan(values[i]):
                 continue  # held by a facet cached after the first lookup
-            values[i], _, basis = self.lp(points[i])
+            values[i], normal, basis = self.lp(points[i])
+            if normal is not None:
+                normals[i] = normal
             inverse = self._facet_inverse(basis)
             if inverse is not None:
+                start = self.normals.shape[0]
                 self.inverses = np.vstack([self.inverses, inverse])
+                self.normals = np.vstack([self.normals, inverse.sum(axis=0) * self.lp.scale])
                 rest = np.flatnonzero(np.isnan(values))
-                values[rest] = self._lookup(points[rest], inverse)
-        return values
+                values[rest], facet[rest] = self._lookup(points[rest], start)
+        held = facet >= 0
+        normals[held] = self.normals[facet[held]]
+        return values, normals
 
-    def _lookup(self, points: np.ndarray, inverses: np.ndarray) -> np.ndarray:
-        """Gauge of each point from the first cached cone holding it, else nan."""
+    def _lookup(self, points: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """Gauge of each point, and the index of the first cached cone from
+        ``start`` on that holds it; nan and -1 where none does."""
         count, d = points.shape
         values = np.full(count, np.nan)
+        index = np.full(count, -1)
+        inverses = self.inverses[start * d:]
         facets = inverses.shape[0] // d
         if facets == 0:
-            return values
+            return values, index
         weights = ((points * self.lp.scale) @ inverses.T).reshape(count, facets, d)
         inside = weights.min(axis=2) >= -_CONE_TOL * np.abs(weights).sum(axis=2)
         hit = np.flatnonzero(inside.any(axis=1))
         first = inside[hit].argmax(axis=1)
         values[hit] = np.maximum(weights[hit, first].sum(axis=1), 0.0)
-        return values
+        index[hit] = start + first
+        return values, index
 
     def _facet_inverse(self, basis: np.ndarray | None) -> np.ndarray | None:
         """B_f^-1 of an optimal basis of d well-conditioned vertex columns,

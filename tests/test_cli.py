@@ -199,8 +199,9 @@ def test_approx_rejects_bad_n_list(capsys):
     assert "n-list" in err
 
 
-def test_numerical_failures_exit_three(capsys, body_files, monkeypatch):
+def test_numerical_failures_exit_three(capsys, body_files, monkeypatch, tmp_path):
     import polyradii.cli as cli
+    import polyradii.radii as radii
 
     def explode(*args, **kwargs):
         raise RuntimeError("pivot limit reached")
@@ -210,6 +211,17 @@ def test_numerical_failures_exit_three(capsys, body_files, monkeypatch):
                            "--gauge", body_files["triangle"])
     assert code == 3
     assert "numerical failure" in err
+    # The containment engine's round cap, off the plane.
+    paths = []
+    for kind in ("simplex", "cube"):
+        path = tmp_path / f"{kind}3.json"
+        path.write_text(json.dumps(make_body(BodySpec(kind, dim=3)).to_dict()))
+        paths.append(str(path))
+    monkeypatch.setattr(radii, "_MAX_CUT_ROUNDS", 1)
+    code, _, err = run_cli(capsys, "radii", "--body", paths[0], "--gauge", paths[1],
+                           "--quantity", "R")
+    assert code == 3
+    assert "circumradius facet generation did not converge in 1 rounds (d=3" in err
 
 
 def test_output_uses_nine_significant_digits(capsys, body_files):

@@ -7,6 +7,9 @@ condition per facet, so these oracles are exact in both two and three
 dimensions.
 """
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -83,7 +86,7 @@ def random_full_dim(rng, dim, lo=None, hi=9, min_slack=0.2):
             return VPolytope(verts)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [2, 3, 4])
 def test_quantities_match_scipy_oracles(dim):
     rng = np.random.default_rng(40 + dim)
     for _ in range(12):
@@ -131,6 +134,36 @@ def test_chain_members_match_oracles_in_three_dimensions():
             oracle_circumradius(diff_k, VPolytope(half)), abs=1e-7
         )
         assert report.a1 <= report.a2 + 1e-9
+
+
+def _simplex_in_lattice():
+    # The 4-D simplex in the 81-point lattice body {0,1,2}^4 - 0.7.
+    lattice = np.array(list(itertools.product([0.0, 1.0, 2.0], repeat=4))) - 0.7
+    simplex = np.vstack([np.zeros(4), np.eye(4)])
+    return VPolytope(simplex), VPolytope(lattice)
+
+
+def _gaussian_twelve():
+    # 12 standard-normal vertices each in 3-D, the gauge centred.
+    rng = np.random.default_rng(1)
+    k = rng.normal(size=(12, 3))
+    c = rng.normal(size=(12, 3))
+    return VPolytope(k), VPolytope(c - c.mean(axis=0))
+
+
+@pytest.mark.parametrize("pair", [_simplex_in_lattice, _gaussian_twelve])
+def test_chain_members_match_oracles_on_large_pairs(pair):
+    # a3 and a4 are containment programs over K-K (25 and 132 distinct
+    # differences) in gauges of up to 625 distinct vertices.
+    k, c = pair()
+    start = time.perf_counter()
+    report = verify_chain(k, c, tol=1e-6)
+    assert time.perf_counter() - start < 5.0
+    assert report.ok, report.flags
+    diff_k = VPolytope(pairwise_differences(k.vertices))
+    half = VPolytope(0.5 * pairwise_differences(c.vertices))
+    assert report.a3 == pytest.approx(oracle_circumradius(diff_k, half), abs=1e-7)
+    assert report.a4 == pytest.approx(oracle_circumradius(diff_k, c), abs=1e-7)
 
 
 # Pairs on which the simplex ratio test once pivoted on negative right-hand

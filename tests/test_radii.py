@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from polyradii import lp_solver
+from polyradii import lp_solver, radii
 from polyradii.bodies import BodySpec, make_body
 from polyradii.convex_core import (
     DimensionMismatchError,
@@ -17,10 +17,6 @@ from polyradii.convex_core import (
 from polyradii.functionals import GaugeBody, gauge, support_values
 from polyradii.radii import (
     ChainReport,
-    _circumradius_facets_2d,
-    _circumradius_vertex_lp,
-    _inradius_facets_2d,
-    _inradius_vertex_lp,
     circumradius,
     diameter,
     induced_norm,
@@ -31,6 +27,7 @@ from polyradii.radii import (
     symmetric_circumradius,
     verify_chain,
 )
+from test_cross_validation import oracle_circumradius, oracle_inradius
 
 SQRT3 = math.sqrt(3.0)
 TRIANGLE = make_body(BodySpec("equilateral_triangle"))
@@ -96,14 +93,12 @@ def test_circumradius_rejects_dimension_mismatch():
         circumradius(TRIANGLE, make_body(BodySpec("cube", dim=3)))
 
 
-def test_circumradius_facet_route_matches_vertex_lp():
+def test_circumradius_matches_scipy_oracle_on_random_planar_pairs():
     rng = np.random.default_rng(211)
     for _ in range(25):
         k = random_polytope(rng, 2)
         c = random_full_dim(rng, 2)
-        via_vertex = _circumradius_vertex_lp(k, c)
-        via_facets = _circumradius_facets_2d(k, c)
-        assert via_facets.value == pytest.approx(via_vertex.value, abs=1e-7)
+        assert circumradius(k, c).value == pytest.approx(oracle_circumradius(k, c), abs=1e-7)
 
 
 def test_circumradius_matches_minimax_gauge_form():
@@ -156,14 +151,12 @@ def test_inradius_of_nested_cubes():
     assert inradius(outer, inner).value == pytest.approx(2.0, abs=1e-9)
 
 
-def test_inradius_facet_route_matches_vertex_lp():
+def test_inradius_matches_scipy_oracle_on_random_planar_pairs():
     rng = np.random.default_rng(229)
     for _ in range(25):
         k = random_full_dim(rng, 2)
         c = random_polytope(rng, 2)
-        via_vertex = _inradius_vertex_lp(k, c)
-        via_facets = _inradius_facets_2d(k, c)
-        assert via_facets.value == pytest.approx(via_vertex.value, abs=1e-7)
+        assert inradius(k, c).value == pytest.approx(oracle_inradius(k, c), abs=1e-7)
 
 
 def test_inradius_witness_translate_fits():
@@ -201,6 +194,33 @@ def test_facet_lps_reject_centres_their_duals_do_not_certify(monkeypatch):
     monkeypatch.setattr(lp_solver, "solve", solve_with(lambda out: None))
     with pytest.raises(RuntimeError, match=r"inradius facet LP \(3 x 4\) returned no duals"):
         inradius(SQUARE, TRIANGLE)
+
+
+def test_containment_failures_name_program_size_and_gap(monkeypatch):
+    monkeypatch.setattr(radii, "_MAX_CUT_ROUNDS", 1)
+    with pytest.raises(RuntimeError, match=r"circumradius facet generation did not converge "
+                       r"in 1 rounds \(d=3, \d+ cuts, last oracle-master gap \d"):
+        circumradius(make_body(BodySpec("simplex", dim=3)), make_body(BodySpec("cube", dim=3)))
+    monkeypatch.setattr(lp_solver, "solve",
+                        lambda lp, **kwargs: lp_solver.LpOutcome(lp_solver.NUMERICAL_FAILURE))
+    with pytest.raises(RuntimeError, match=r"inradius facet LP \(3 x 4\) ended with status "
+                       r"numerical-failure \(d=2, 4 cuts, last oracle-master gap inf\)"):
+        inradius(SQUARE, TRIANGLE)
+
+
+def test_flat_gauges_restrict_to_their_affine_hull():
+    # A segment gauge in space: R of a parallel segment is the length ratio,
+    # a body leaving the gauge's line has no finite R, and r of a flat body
+    # in a full-dimensional one is 0.
+    gauge_segment = VPolytope([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    body_segment = VPolytope([[5.0, 0.0, 2.0], [8.0, 3.0, 5.0]])
+    res = circumradius(body_segment, gauge_segment)
+    assert res.value == pytest.approx(3.0, abs=1e-9)
+    assert contains(transform(gauge_segment, res.value, res.center), body_segment)
+    with pytest.raises(RuntimeError, match="unbounded"):
+        circumradius(make_body(BodySpec("simplex", dim=3)), gauge_segment)
+    assert inradius(body_segment, make_body(BodySpec("cube", dim=3))).value == 0.0
+    assert inradius(body_segment, gauge_segment).value == pytest.approx(3.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +642,8 @@ def test_radii_and_width_invariant_under_scale_and_offsets(label):
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-10, 1e9, 1e12])
 def test_spatial_diameter_and_gauge_invariant_under_scale(scale):
-    # Off the plane every quantity runs on vertex LPs, which must not
-    # return silently wrong values far from unit scale.
+    # Off the plane every quantity runs on LPs, which must not return
+    # silently wrong values far from unit scale.
     k = make_body(BodySpec("simplex", dim=3))
     c = make_body(BodySpec("cube", dim=3))
     scaled_k, scaled_c = VPolytope(scale * k.vertices), VPolytope(scale * c.vertices)
@@ -654,6 +674,20 @@ def test_spatial_diameter_and_gauge_invariant_under_scale(scale):
     square = GaugeBody.from_polytope(VPolytope(scale * SQUARE.vertices))
     assert gauge(square, [2.0 * scale, 0.0]).value == pytest.approx(
         gauge(GaugeBody.from_polytope(SQUARE), [2.0, 0.0]).value, rel=1e-7)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_spatial_quantities_invariant_under_separate_offsets(dim):
+    # K moved by +1e7 and C by -1e7 in every coordinate, far from each other
+    # and from the origin; each quantity is invariant under both moves.
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        k = VPolytope(rng.normal(scale=2.0, size=(6, dim)))
+        c = VPolytope(rng.normal(scale=2.0, size=(6, dim)))
+        far_k, far_c = VPolytope(k.vertices + 1e7), VPolytope(c.vertices - 1e7)
+        for quantity in (circumradius, inradius, diameter, min_width):
+            assert quantity(far_k, far_c).value == pytest.approx(
+                quantity(k, c).value, rel=1e-7)
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-10, 1e12])

@@ -31,6 +31,7 @@ from .convex_core import (
     DimensionMismatchError,
     VPolytope,
     _as_vector,
+    _column_scales,
     _extent,
     _interior_margin,
     _power_of_two_scale,
@@ -161,32 +162,36 @@ def inradius(k: VPolytope, c: VPolytope) -> RadiiResult:
 def _containment(program: str, k: VPolytope, c: VPolytope) -> RadiiResult:
     """R (``program`` "circumradius") or r ("inradius") by facet generation.
 
-    K and C are translated to their vertex centroids and scaled by one power
-    of two, which the radius does not see; the centre is mapped back.  The
-    outer body (C for R, K for r) is restricted to its affine hull: an inner
-    body that leaves it has no finite R, and r = 0.
+    K and C are translated to their vertex centroids, and the outer body (C
+    for R, K for r) is restricted to its affine hull, flat up to rounding of
+    its own size as in hull_2d: an inner body that leaves it has no finite R,
+    and r = 0.  The hull axes are scaled by powers of two to the outer body's
+    extent along them, and the inner body by one more, so lambda is near 1
+    for long thin bodies too; the radius does not see these maps.
     """
     circum = program == "circumradius"
     if not circum and not np.ptp(c.vertices, axis=0).any():
         raise ValueError("inradius is unbounded: the gauge body is a single point")
     k_shift, c_shift = k.vertices.mean(axis=0), c.vertices.mean(axis=0)
     kv, cv = k.vertices - k_shift, c.vertices - c_shift
-    scale = _power_of_two_scale(float(max(np.abs(kv).max(), np.abs(cv).max())))
-    inner, outer = (kv * scale, cv * scale) if circum else (cv * scale, kv * scale)
-    span = float(np.ptp(outer, axis=0).max())
+    inner, outer = (kv, cv) if circum else (cv, kv)
+    size = float(np.abs(outer).max())
     _, singular, vt = np.linalg.svd(outer, full_matrices=False)
-    rank = int(np.count_nonzero(singular > 1e-9 * span)) if span else 0
+    rank = int(np.count_nonzero(singular > 1e-12 * size))
     # Coordinates in the hull: the identity, which is exact, when it is all of space.
     hull = np.eye(k.dim) if rank == k.dim else vt[:rank].T
-    off_hull = np.ptp(inner - inner @ hull @ hull.T, axis=0).max()
-    if off_hull > 1e-9 * max(span, float(np.ptp(inner, axis=0).max())):
+    if np.abs(inner - inner @ hull @ hull.T).max() > 1e-12 * max(size, np.abs(inner).max()):
         if circum:
             raise RuntimeError("circumradius is unbounded: no multiple of the flat "
                                "gauge body covers the body")
         return RadiiResult("r", 0.0, center=k_shift)
-    lam, x = (_facet_generation(program, inner @ hull, outer @ hull) if rank
-              else (0.0, np.zeros(0)))
-    center = k_shift + hull @ x / scale - lam * c_shift
+    scales = _column_scales(outer @ hull)
+    inner, outer = inner @ hull * scales, outer @ hull * scales
+    # R(aK, C) = a R(K, C) with centre a x; r(K, aC) = r(K, C) / a, same centre.
+    a = _power_of_two_scale(float(np.abs(inner).max(initial=0.0)))
+    lam, x = _facet_generation(program, a * inner, outer) if rank else (0.0, np.zeros(0))
+    lam, x = (lam / a, x / a) if circum else (lam * a, x)
+    center = k_shift + hull @ (x / scales) - lam * c_shift
     return RadiiResult("R" if circum else "r", lam, center=center)
 
 
@@ -220,8 +225,6 @@ def _facet_generation(program: str, inner: np.ndarray,
         normals = np.vstack([np.eye(d), -np.eye(d)])
         offsets = np.concatenate([outer.max(axis=0), -outer.min(axis=0)])
     supports = support_values(inner_body, normals)
-    rhs = np.zeros(d + 1)
-    rhs[d] = 1.0
     lam, x, gap = 0.0, np.zeros(d), np.inf
     for _ in range(_MAX_CUT_ROUNDS):
         master = f"{program} facet LP ({d + 1} x {offsets.size})"
@@ -233,13 +236,9 @@ def _facet_generation(program: str, inner: np.ndarray,
             # scales the centre back, so the LP tolerances hold at any size.
             scale = float(max(np.abs(offsets).max(), np.abs(supports).max())) or 1.0
             b, h = offsets / scale, supports / scale
-            if circum:
-                lp = LinearProgram(-h, np.vstack([normals.T, b]),
-                                   (EQUAL,) * d + (LESS_EQUAL,), rhs)
-            else:
-                lp = LinearProgram(b, np.vstack([normals.T, h]),
-                                   (EQUAL,) * d + (GREATER_EQUAL,), rhs)
-            out = lp_solver.solve(lp)
+            cost, last, relation = (-h, b, LESS_EQUAL) if circum else (b, h, GREATER_EQUAL)
+            out = lp_solver.solve(LinearProgram(cost, np.vstack([normals.T, last]),
+                                                (EQUAL,) * d + (relation,), np.eye(d + 1)[d]))
             if out.status != lp_solver.OPTIMAL:
                 raise RuntimeError(f"{master} ended with status {out.status} (d={d}, "
                                    f"{offsets.size} cuts, last oracle-master gap {gap:.3e})")

@@ -15,6 +15,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
+from polyradii import lp_solver
 from polyradii.convex_core import VPolytope, interior_slack
 from polyradii.functionals import GaugeBody, gauge
 from polyradii.radii import circumradius, diameter, inradius, min_width, verify_chain
@@ -152,13 +153,20 @@ def _gaussian_twelve():
 
 
 @pytest.mark.parametrize("pair", [_simplex_in_lattice, _gaussian_twelve])
-def test_chain_members_match_oracles_on_large_pairs(pair):
+def test_chain_members_match_oracles_on_large_pairs(pair, monkeypatch):
     # a3 and a4 are containment programs over K-K (25 and 132 distinct
-    # differences) in gauges of up to 625 distinct vertices.
+    # differences) in gauges of up to 625 distinct vertices.  As dense
+    # convex-coefficient LPs they took 1.4 M and 9.4 M cells; the chain now
+    # takes about 200 LPs of at most 0.2 M cells.
     k, c = pair()
+    cells = []
+    solve = lp_solver.solve
+    monkeypatch.setattr(lp_solver, "solve",
+                        lambda lp, **kw: cells.append(lp.lhs.size) or solve(lp, **kw))
     start = time.perf_counter()
     report = verify_chain(k, c, tol=1e-6)
     assert time.perf_counter() - start < 5.0
+    assert len(cells) < 500 and max(cells) < 300_000
     assert report.ok, report.flags
     diff_k = VPolytope(pairwise_differences(k.vertices))
     half = VPolytope(0.5 * pairwise_differences(c.vertices))

@@ -609,12 +609,15 @@ def test_unit_circumradius_is_stable_under_common_summands():
 # ---------------------------------------------------------------------------
 # invariance far from unit scale and from the origin
 
-# (common scale, offset of K, offset of C) applied to the square/triangle pair.
+# (common scale, offset of K, offset of C) applied to the square/triangle
+# pair, or, for a "spatial-" label, to eight six-vertex pairs in 3-D and 4-D.
 DISTORTIONS = {
     "scale-1e9": (1e9, [0.0, 0.0], [0.0, 0.0]),
     "scale-1e-9": (1e-9, [0.0, 0.0], [0.0, 0.0]),
     "scale-1e6": (1e6, [0.0, 0.0], [0.0, 0.0]),
     "offset-1e7": (1.0, [1e7, -1e7], [-1e7, 1e7]),
+    # K and C far from each other and from the origin, every coordinate moved.
+    "spatial-offset-1e7": (1.0, 1e7, -1e7),
 }
 
 
@@ -623,16 +626,34 @@ def _distorted(label):
     return transform(SQUARE, scale, k_offset), transform(TRIANGLE, scale, c_offset)
 
 
+def _unit_pairs(label):
+    """The pairs that ``label`` distorts."""
+    if not label.startswith("spatial-"):
+        return [(SQUARE, TRIANGLE)]
+    pairs = []
+    for dim in (3, 4):
+        rng = np.random.default_rng(11)
+        pairs += [(VPolytope(rng.normal(scale=2.0, size=(6, dim))),
+                   VPolytope(rng.normal(scale=2.0, size=(6, dim)))) for _ in range(8)]
+    return pairs
+
+
 def _members(report):
     return [report.a1, report.a2, report.a3, report.a4, report.a5]
 
 
 @pytest.mark.parametrize("label", list(DISTORTIONS))
 def test_radii_and_width_invariant_under_scale_and_offsets(label):
-    k, c = _distorted(label)
-    for quantity in (circumradius, inradius, min_width, diameter):
-        unit = quantity(SQUARE, TRIANGLE).value
-        assert quantity(k, c).value == pytest.approx(unit, rel=1e-7)
+    scale, k_offset, c_offset = DISTORTIONS[label]
+    for unit_k, unit_c in _unit_pairs(label):
+        k = transform(unit_k, scale, np.broadcast_to(k_offset, unit_k.dim))
+        c = transform(unit_c, scale, np.broadcast_to(c_offset, unit_c.dim))
+        for quantity in (circumradius, inradius, min_width, diameter):
+            unit = quantity(unit_k, unit_c).value
+            assert quantity(k, c).value == pytest.approx(unit, rel=1e-7)
+        assert diameter(k, c).pair == diameter(unit_k, unit_c).pair
+    if label.startswith("spatial-"):
+        return  # the chain's a5 is a gauge of C about its origin, which moved
     assert diameter(k, c).pair == (0, 3)
     unit_chain = verify_chain(SQUARE, TRIANGLE)
     chain = verify_chain(k, c)
@@ -674,20 +695,6 @@ def test_spatial_diameter_and_gauge_invariant_under_scale(scale):
     square = GaugeBody.from_polytope(VPolytope(scale * SQUARE.vertices))
     assert gauge(square, [2.0 * scale, 0.0]).value == pytest.approx(
         gauge(GaugeBody.from_polytope(SQUARE), [2.0, 0.0]).value, rel=1e-7)
-
-
-@pytest.mark.parametrize("dim", [3, 4])
-def test_spatial_quantities_invariant_under_separate_offsets(dim):
-    # K moved by +1e7 and C by -1e7 in every coordinate, far from each other
-    # and from the origin; each quantity is invariant under both moves.
-    rng = np.random.default_rng(11)
-    for _ in range(8):
-        k = VPolytope(rng.normal(scale=2.0, size=(6, dim)))
-        c = VPolytope(rng.normal(scale=2.0, size=(6, dim)))
-        far_k, far_c = VPolytope(k.vertices + 1e7), VPolytope(c.vertices - 1e7)
-        for quantity in (circumradius, inradius, diameter, min_width):
-            assert quantity(far_k, far_c).value == pytest.approx(
-                quantity(k, c).value, rel=1e-7)
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-10, 1e12])
@@ -751,6 +758,15 @@ def test_long_thin_gauges_certify(length):
                      for sz in (-1, 1)])
     assert gauge(GaugeBody.from_polytope(box), [length / 2, 0.5, 0.25]).value == (
         pytest.approx(0.5, rel=1e-7))
+    # Containment both ways with the unit square and cube that fit the thin
+    # axes exactly; neither long body counts as flat.
+    square = VPolytope([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
+    for thin, unit in ((rectangle, square), (box, make_body(BodySpec("cube", dim=3)))):
+        half = float(unit.vertices.max())
+        assert circumradius(unit, thin).value == pytest.approx(1.0, rel=1e-7)
+        assert inradius(thin, unit).value == pytest.approx(1.0, rel=1e-7)
+        assert circumradius(thin, unit).value == pytest.approx(length / half, rel=1e-7)
+        assert inradius(unit, thin).value == pytest.approx(half / length, rel=1e-7)
 
 
 @pytest.mark.parametrize("label", ["scale-1e-9", "offset-1e7"])

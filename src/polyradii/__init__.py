@@ -17,7 +17,6 @@ from .convex_core import (
     difference_hull,
     facets_2d,
     hull_2d,
-    interior_point,
     member,
     minkowski_sum,
     transform,
@@ -42,6 +41,7 @@ from .radii import (
     diameter,
     induced_norm,
     inradius,
+    interior_point,
     min_width,
     radii_report,
     symmetric_circumradius,

@@ -337,77 +337,60 @@ def _interior_margin(p: VPolytope) -> float:
     return INTERIOR_MARGIN * min(1.0, _extent(p))
 
 
-def _axis_slack(p: VPolytope, center: np.ndarray | None) -> tuple[np.ndarray, float]:
-    """Largest rho with center ± rho e_k inside the hull for every axis k.
+class _GaugeLP:
+    """Least lambda with x in lambda*conv(vertices), and its dual normal.
 
-    With ``center=None`` the center is a free variable; the optimum then
-    certifies full-dimensionality (rho > 0 iff the body has interior).  The
-    LP is solved on (vertices - centroid) / extent with each axis scaled by
-    ``_column_scales`` and rho in units of the thinnest axis, so its fixed
-    tolerances hold at any scale, offset and axis aspect; the point and rho
-    are mapped back.  Compare rho with ``_interior_margin(p)``.
+    Solved as min sum(nu) subject to sum(nu_i v_i) = x, nu >= 0: the scaled
+    convex weights sum exactly to the scaling factor.  The dual normal y
+    satisfies v_i.y <= 1 for every vertex and y.x = lambda, so it is a
+    supporting normal of the hull where the ray through x leaves it.  The
+    value is inf when x is off the cone of the vertices.
+
+    Each coordinate row is scaled by ``_column_scales`` of the vertices, and
+    x by ``_power_of_two_scale`` of its largest scaled entry, so the solver's
+    fixed tolerances hold at any scale and axis aspect and for any length of
+    x.  The rows keep their weights; the value is divided by the scale of x
+    and the dual normal multiplied by the row scales.  The scaled rows are
+    built once per body and shared by every x.  The optimal basis is passed
+    on as the solver reports it (None when the value is inf).
     """
-    n, d = p.vertices.shape
-    centroid = p.vertices.mean(axis=0)
-    extent = _extent(p)
-    verts = (p.vertices - centroid) / extent
-    axis_scale = _column_scales(verts)
-    rho_scale = axis_scale.max()
-    verts = verts * axis_scale
-    fixed = center is not None
-    local_center = (center - centroid) / extent * axis_scale if fixed else None
-    extra = 0 if fixed else d
-    width = extra + 1 + 2 * d * n
-    rows = 2 * d * (d + 1)
-    lhs = np.zeros((rows, width))
-    rhs = np.zeros(rows)
-    directions = np.vstack([np.eye(d), -np.eye(d)])
-    for k, direction in enumerate(directions):
-        block = extra + 1 + k * n
-        r0 = k * (d + 1)
-        # sum_i w_i v_i - center - rho * direction = 0, in scaled units
-        lhs[r0:r0 + d, block:block + n] = verts.T
-        lhs[r0:r0 + d, extra] = -direction * axis_scale / rho_scale
-        if fixed:
-            rhs[r0:r0 + d] = local_center
-        else:
-            lhs[r0:r0 + d, :d] = -np.eye(d)
-        lhs[r0 + d, block:block + n] = 1.0
-        rhs[r0 + d] = 1.0
-    objective = np.zeros(width)
-    objective[extra] = -1.0  # maximise rho
-    bounds = tuple([None] * extra + [0.0] + [0.0] * (2 * d * n))
-    out = lp_solver.solve(LinearProgram(objective, lhs, (EQUAL,) * rows, rhs, bounds))
-    if out.status == lp_solver.INFEASIBLE:
-        return (center if fixed else p.vertices[0]), -1.0
-    if out.status != lp_solver.OPTIMAL:
-        raise RuntimeError(f"interior-slack LP failed with status {out.status}")
-    point = center if fixed else centroid + extent * out.solution[:d] / axis_scale
-    return np.asarray(point, dtype=float), extent * float(out.solution[extra]) / rho_scale
+
+    def __init__(self, vertices: np.ndarray):
+        self.scale = _column_scales(vertices)
+        self.lhs = (vertices * self.scale).T
+        self.objective = np.ones(vertices.shape[0])
+        self.relations = (EQUAL,) * vertices.shape[1]
+
+    def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray | None,
+                                              np.ndarray | None]:
+        rhs = x * self.scale
+        length = _power_of_two_scale(float(np.abs(rhs).max()))
+        out = lp_solver.solve(LinearProgram(self.objective, self.lhs, self.relations,
+                                            rhs * length))
+        if out.status == lp_solver.INFEASIBLE:
+            return np.inf, None, None
+        if out.status != lp_solver.OPTIMAL:
+            raise RuntimeError(f"gauge LP failed with status {out.status}")
+        return max(0.0, out.value / length), out.duals * self.scale, out.basis
 
 
 def interior_slack(p: VPolytope, point) -> float:
-    """Positive-slack certificate of ``point`` being interior (negative if not)."""
-    _, rho = _axis_slack(p, _as_vector(point, p.dim))
-    return rho
+    """Largest rho with point ± rho e_k in the hull for every axis k, or -1.
 
-
-def interior_point(p: VPolytope) -> np.ndarray:
-    """The vertex centroid when it certifies as interior, else a max-slack point.
-
-    A point certifies when its slack exceeds ``_interior_margin(p)``.
-    Raises LowerDimensionalError when no point does, i.e. the hull has empty
-    interior at working precision.
+    Positive slack certifies ``point`` interior; compare it with
+    ``_interior_margin(p)``.  It is 1 / max_k gauge(±e_k) in the body
+    translated by -point, one gauge LP per direction.  A point outside the
+    body or on its boundary leaves the cone of the translated vertices along
+    some ±e_k, and the first infinite gauge returns -1.
     """
-    centroid = p.vertices.mean(axis=0)
-    margin = _interior_margin(p)
-    _, rho = _axis_slack(p, centroid)
-    if rho > margin:
-        return centroid
-    point, rho = _axis_slack(p, None)
-    if rho > margin:
-        return point
-    raise LowerDimensionalError("polytope has empty interior")
+    gauge_lp = _GaugeLP(p.vertices - _as_vector(point, p.dim))
+    top = 0.0
+    for direction in np.vstack([np.eye(p.dim), -np.eye(p.dim)]):
+        value = gauge_lp(direction)[0]
+        if not np.isfinite(value):
+            return -1.0
+        top = max(top, value)
+    return 1.0 / top
 
 
 def hpolytope_is_bounded(h: HPolytope) -> bool:

@@ -18,20 +18,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import lp_solver
 from .convex_core import (
     EPS_GEOMETRY,
     HPolytope,
     VPolytope,
+    _GaugeLP,
     _as_vector,
-    _column_scales,
     _interior_margin,
-    _power_of_two_scale,
     difference_hull,
     facets_2d,
     interior_slack,
 )
-from .lp_solver import EQUAL, LinearProgram
 
 # A cached facet cone holds a point when the point's weights are non-negative
 # up to this fraction of their total size.
@@ -94,43 +91,6 @@ def width_fn(k: VPolytope, u) -> FunctionalValue:
     direction = _as_vector(u, k.dim)
     value = support(k, direction).value + support(k, -direction).value
     return FunctionalValue(float(value))
-
-
-class _GaugeLP:
-    """Least lambda with x in lambda*conv(vertices), and its dual normal.
-
-    Solved as min sum(nu) subject to sum(nu_i v_i) = x, nu >= 0: the scaled
-    convex weights sum exactly to the scaling factor.  The dual normal y
-    satisfies v_i.y <= 1 for every vertex and y.x = lambda, so it is a
-    supporting normal of the hull where the ray through x leaves it.  The
-    value is inf when x is off the cone of the vertices.
-
-    Each coordinate row is scaled by ``_column_scales`` of the vertices, and
-    x by ``_power_of_two_scale`` of its largest scaled entry, so the solver's
-    fixed tolerances hold at any scale and axis aspect and for any length of
-    x.  The rows keep their weights; the value is divided by the scale of x
-    and the dual normal multiplied by the row scales.  The scaled rows are
-    built once per body and shared by every x.  The optimal basis is passed
-    on as the solver reports it (None when the value is inf).
-    """
-
-    def __init__(self, vertices: np.ndarray):
-        self.scale = _column_scales(vertices)
-        self.lhs = (vertices * self.scale).T
-        self.objective = np.ones(vertices.shape[0])
-        self.relations = (EQUAL,) * vertices.shape[1]
-
-    def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray | None,
-                                              np.ndarray | None]:
-        rhs = x * self.scale
-        length = _power_of_two_scale(float(np.abs(rhs).max()))
-        out = lp_solver.solve(LinearProgram(self.objective, self.lhs, self.relations,
-                                            rhs * length))
-        if out.status == lp_solver.INFEASIBLE:
-            return np.inf, None, None
-        if out.status != lp_solver.OPTIMAL:
-            raise RuntimeError(f"gauge LP failed with status {out.status}")
-        return max(0.0, out.value / length), out.duals * self.scale, out.basis
 
 
 class _GaugeEvaluator:

@@ -13,6 +13,9 @@ off the facets in the plane and off the facet cones their LPs have met
 elsewhere.  The planar diameter and the chain's pair-gauge member swap the
 maximum over vertex pairs for one over the gauge's polar vertices
 p_f = n_f / b_f: sup_{i,j} gauge(v_j - v_i) = max_f (h_K(p_f) + h_K(-p_f)).
+Minimum width inscribes C-C in K-K, and an interior point is the centre of
+the largest cross-polytope inside the body: both are read off the same
+gauges and engine.
 
 Gauge bodies are used exactly as given whenever the origin is already
 interior; otherwise they are recentered by an interior point, which is
@@ -29,6 +32,7 @@ import numpy as np
 from . import lp_solver
 from .convex_core import (
     DimensionMismatchError,
+    LowerDimensionalError,
     VPolytope,
     _as_vector,
     _column_scales,
@@ -38,7 +42,6 @@ from .convex_core import (
     difference_hull,
     facets_2d,
     hull_2d,
-    interior_point,
     interior_slack,
 )
 from .functionals import (
@@ -46,17 +49,10 @@ from .functionals import (
     GaugeBody,
     GaugeError,
     _GaugeEvaluator,
-    _GaugeLP,
     gauge,
     support_values,
 )
 from .lp_solver import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram
-
-# Up to this cell count (of the coupled inscription LP) the planar minimum
-# width takes its value from the pinned inscription LP, a route independent
-# of the facet closed form; above it the closed form gives the value too,
-# because the LP work grows with the product of the two hull sizes.
-_VLP_CELL_CAP = 150_000
 
 _CENTERED_TOL = 1e-9
 
@@ -338,32 +334,6 @@ def _degenerate_direction(diff: VPolytope) -> np.ndarray:
     return vt[-1]
 
 
-def _pinned_inscription_lp(a: VPolytope, b: VPolytope):
-    """max t with t*B inside A, both centered, inscribing translate at 0.
-
-    Because 0 lies in A, t*w lies in A exactly when t*gauge_A(w) <= 1, so
-    the coupled convex-coefficient LP decomposes into one gauge LP per
-    vertex w of B and t* = 1 / max_w gauge_A(w).  The binding gauge LP's
-    dual normal supports A at the contact, i.e. is a minimising width
-    direction.
-    """
-    gauge_lp = _GaugeLP(a.vertices)
-    floor = 1e-12 * _extent(b)
-    gauges = []
-    for w in b.vertices:
-        if np.linalg.norm(w) <= floor:
-            continue  # the origin imposes no constraint
-        value, normal, _ = gauge_lp(w)
-        if not np.isfinite(value):
-            return 0.0, None
-        gauges.append((value, normal))
-    if not gauges:
-        raise ValueError("inscription is unbounded: gauge body is a single point")
-    values = np.array([value for value, _ in gauges])
-    top = float(values.max())
-    return 1.0 / top, gauges[int(np.argmax(values >= _tie_floor(top)))][1]
-
-
 def _width_ratio(a: VPolytope, b: VPolytope, directions: np.ndarray) -> np.ndarray:
     return 2.0 * support_values(a, directions) / support_values(b, directions)
 
@@ -378,10 +348,14 @@ def _unit_rows(vertices: np.ndarray) -> np.ndarray:
 def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
     """Thinnest relative slab: 2 inf_u h_{K-K}(u) / h_{C-C}(u).
 
-    Computed as twice the largest t with t*(C-C) inscribed in K-K, the
-    inscribing translate pinned at the origin (both bodies are centered).
-    The witness direction attains the minimal support ratio: the active
-    facet normal of K-K in the plane, an LP dual direction off-plane.
+    Equal to twice the largest t with t*(C-C) inscribed in K-K.  Both bodies
+    are centered, so the inscribing translate is the origin and
+    t = 1 / max_w gauge_{K-K}(w) over the vertices w of C-C.  In the plane
+    the facet closed form gives the value and the witness, the facet normal
+    of K-K with the least ratio.  Off the plane the gauges are one batched
+    evaluation, and the witness is the direction of least ratio among the
+    polar vertex attaining the largest gauge and the vertex directions of
+    both bodies.
     """
     _check_dims(k, c)
     a = difference_hull(k)
@@ -392,9 +366,6 @@ def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
         if facets_2d(b).lower_dimensional:
             raise ValueError("diameter/width need a full-dimensional gauge body")
         value, direction = _facet_width_2d(a, b)
-        cells = (len(b) * (d + 1)) * (1 + len(b) * len(a))
-        if cells <= _VLP_CELL_CAP:
-            value = max(0.0, 2.0 * _pinned_inscription_lp(a, b)[0])
         return RadiiResult("omega", value, direction=direction)
 
     if np.linalg.matrix_rank(b.vertices, tol=1e-9 * _extent(b)) < d:
@@ -402,20 +373,23 @@ def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
     if np.linalg.matrix_rank(a.vertices, tol=1e-9 * _extent(a)) < d:
         return RadiiResult("omega", 0.0, direction=_degenerate_direction(a))
 
-    t_star, normal = _pinned_inscription_lp(a, b)
+    # The origin vertex of C-C imposes no constraint.
+    nonzero = np.linalg.norm(b.vertices, axis=1) > 1e-12 * _extent(b)
+    values, normals = _GaugeEvaluator(a).with_normals(b.vertices[nonzero])
+    top = float(values.max())
     rows = [a.vertices, b.vertices]
-    if normal is not None:
+    if np.isfinite(top):
+        normal = normals[int(np.argmax(values >= _tie_floor(top)))]
         rows.insert(0, np.vstack([normal, -normal]))
     stack = np.vstack([_unit_rows(verts) for verts in rows])
-    ratios = _width_ratio(a, b, stack)
-    arg = int(np.argmin(ratios))
-    return RadiiResult("omega", max(0.0, 2.0 * t_star), direction=stack[arg])
+    arg = int(np.argmin(_width_ratio(a, b, stack)))
+    return RadiiResult("omega", 2.0 / top, direction=stack[arg])
 
 
 def min_width_facet_2d(k: VPolytope, c: VPolytope) -> tuple[float, np.ndarray]:
     """Closed-form planar width: minimal support ratio over K-K facet normals.
 
-    Independent of the inscription LP; exposed as the d=2 oracle.
+    ``min_width`` takes the same route in the plane.
     """
     _check_dims(k, c)
     if k.dim != 2:
@@ -464,6 +438,26 @@ def symmetric_circumradius(k: VPolytope, c: GaugeBody) -> float:
 
 # ---------------------------------------------------------------------------
 # the inequality chain
+
+
+def interior_point(p: VPolytope) -> np.ndarray:
+    """The vertex centroid when it certifies as interior, else the centre of
+    the largest cross-polytope conv{x ± rho e_k} inside the hull.
+
+    A point certifies when its ``interior_slack`` exceeds
+    ``_interior_margin(p)``; the slack of the cross-polytope's centre is
+    its inradius r(P, conv{±e_k}).  Raises LowerDimensionalError when no
+    point certifies, i.e. the hull has empty interior at working precision;
+    the engine gives r = 0 for flat bodies.
+    """
+    centroid = p.vertices.mean(axis=0)
+    margin = _interior_margin(p)
+    if interior_slack(p, centroid) > margin:
+        return centroid
+    fit = inradius(p, VPolytope(np.vstack([np.eye(p.dim), -np.eye(p.dim)])))
+    if fit.value > margin:
+        return fit.center
+    raise LowerDimensionalError("polytope has empty interior")
 
 
 def _interior_gauge(c: VPolytope) -> tuple[GaugeBody, np.ndarray]:

@@ -26,7 +26,6 @@ from polyradii.radii import (
     induced_norm,
     inradius,
     min_width,
-    min_width_facet_2d,
     verify_chain,
 )
 
@@ -322,14 +321,19 @@ def test_criterion_7_width_oracle_equivalence():
     for _ in range(100):
         k = _random_body(rng, 2)
         c = _random_gauge(rng, 2)
-        via_lp = min_width(k, c).value
-        via_facets, _ = min_width_facet_2d(k, c)
-        assert abs(via_lp - via_facets) <= tol
         a, b = difference_hull(k), difference_hull(c)
+        # The pinned inscription: both difference bodies are centered, so
+        # t*(C-C) fits in K-K exactly when t*gauge_{K-K}(w) <= 1 at every
+        # vertex w of C-C, one gauge LP each.
+        body = GaugeBody.from_polytope(a)
+        via_lp = 2.0 / max(gauge(body, w).value for w in b.vertices)
+        via_facets = min_width(k, c).value
+        assert abs(via_lp - via_facets) <= tol
         sweep = 2.0 * support_values(a, sweep_dirs) / support_values(b, sweep_dirs)
         # A sampled minimum can only overshoot the true infimum.
         assert float(sweep.min()) >= via_lp - 1e-9
-    _passed("7 (width LP vs facet oracle, 100 instances + 4096-direction sweep)")
+    _passed("7 (inscription gauge LPs vs facet-form width, 100 instances "
+            "+ 4096-direction sweep)")
 
 
 # ---------------------------------------------------------------------------

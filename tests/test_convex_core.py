@@ -15,13 +15,13 @@ from polyradii.convex_core import (
     difference_hull,
     facets_2d,
     hull_2d,
-    interior_point,
     member,
     minkowski_hull_2d,
     minkowski_sum,
     transform,
 )
 from polyradii.functionals import support
+from polyradii.radii import interior_point
 
 SQRT3 = math.sqrt(3.0)
 TRIANGLE = VPolytope([[2.0, 0.0], [-1.0, SQRT3], [-1.0, -SQRT3]])
@@ -312,6 +312,13 @@ def test_interior_point_with_repeated_vertices():
     p = VPolytope([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     x = interior_point(p)
     assert member(p, x)
+    # A thin 4-D body whose centroid lies next to the repeated vertex, with
+    # slack below the margin: the certified point has to come from elsewhere.
+    v = np.random.default_rng(2).normal(size=(6, 4))
+    v[:, 0] *= 3e-8
+    p = VPolytope(np.vstack([v, np.repeat(v[:1], 1000, axis=0)]))
+    x = interior_point(p)
+    assert core.interior_slack(p, x) > core._interior_margin(p)
 
 
 def test_interior_point_rejects_sliver_below_certificate():

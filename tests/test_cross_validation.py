@@ -16,7 +16,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from polyradii import lp_solver
-from polyradii.convex_core import VPolytope, interior_slack
+from polyradii.convex_core import VPolytope, _interior_margin, interior_slack
 from polyradii.functionals import GaugeBody, gauge
 from polyradii.radii import circumradius, diameter, inradius, min_width, verify_chain
 
@@ -78,6 +78,33 @@ def oracle_min_width(k, c):
     return float(np.min(2.0 * offsets / support_at(gauge_diff, normals)))
 
 
+def oracle_axis_slack(p, point):
+    """Largest rho with point ± rho e_k in the hull for every k, or None.
+
+    One block of convex weights per direction s = ±e_k:
+    sum_i w_i v_i - rho s = point, sum_i w_i = 1, w >= 0.
+    """
+    verts = np.asarray(p.vertices)
+    n, d = verts.shape
+    directions = np.vstack([np.eye(d), -np.eye(d)])
+    a_eq = np.zeros((2 * d * (d + 1), 1 + 2 * d * n))
+    b_eq = np.zeros(2 * d * (d + 1))
+    for k, s in enumerate(directions):
+        rows, cols = slice(k * (d + 1), k * (d + 1) + d), slice(1 + k * n, 1 + (k + 1) * n)
+        a_eq[rows, cols] = verts.T
+        a_eq[rows, 0] = -s
+        b_eq[rows] = point
+        a_eq[k * (d + 1) + d, cols] = 1.0
+        b_eq[k * (d + 1) + d] = 1.0
+    cost = np.zeros(a_eq.shape[1])
+    cost[0] = -1.0
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * a_eq.shape[1])
+    if res.status == 2:
+        return None
+    assert res.status == 0
+    return -res.fun
+
+
 def random_full_dim(rng, dim, lo=None, hi=9, min_slack=0.2):
     lo = dim + 1 if lo is None else lo
     while True:
@@ -105,6 +132,29 @@ def test_quantities_match_scipy_oracles(dim):
         assert min_width(k, c).value == pytest.approx(
             oracle_min_width(k, c), abs=1e-7
         )
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_interior_slack_matches_scipy_oracle(dim):
+    rng = np.random.default_rng(70 + dim)
+    for _ in range(10):
+        verts = rng.normal(scale=2.0, size=(int(rng.integers(dim + 1, 9)), dim))
+        p = VPolytope(verts)
+        margin = _interior_margin(p)
+        weights = rng.dirichlet(np.ones(len(verts)), size=5)
+        for x in weights @ verts:
+            expected = oracle_axis_slack(p, x)
+            assert expected is not None and expected > 0.0
+            assert interior_slack(p, x) == pytest.approx(expected, rel=1e-9)
+        # Hull vertices (slack 0 in the oracle) and points beyond them, away
+        # from the centroid (outside the hull), do not certify.
+        centroid = verts.mean(axis=0)
+        for v in verts[ConvexHull(verts).vertices]:
+            assert oracle_axis_slack(p, v) == pytest.approx(0.0, abs=1e-9)
+            assert interior_slack(p, v) < margin
+            outside = v + 0.5 * (v - centroid)
+            assert oracle_axis_slack(p, outside) is None
+            assert interior_slack(p, outside) < margin
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -157,7 +207,8 @@ def test_chain_members_match_oracles_on_large_pairs(pair, monkeypatch):
     # a3 and a4 are containment programs over K-K (25 and 132 distinct
     # differences) in gauges of up to 625 distinct vertices.  As dense
     # convex-coefficient LPs they took 1.4 M and 9.4 M cells; the chain now
-    # takes about 200 LPs of at most 0.2 M cells.
+    # takes about 200 LPs of at most 2 500 cells.  The width evaluates the
+    # gauge of K-K at up to 624 vertices of C-C, most through cached cones.
     k, c = pair()
     cells = []
     solve = lp_solver.solve
@@ -166,8 +217,12 @@ def test_chain_members_match_oracles_on_large_pairs(pair, monkeypatch):
     start = time.perf_counter()
     report = verify_chain(k, c, tol=1e-6)
     assert time.perf_counter() - start < 5.0
-    assert len(cells) < 500 and max(cells) < 300_000
+    assert len(cells) < 500 and max(cells) < 10_000
     assert report.ok, report.flags
+    cells.clear()
+    width = min_width(k, c).value
+    assert len(cells) < 100
+    assert width == pytest.approx(oracle_min_width(k, c), abs=1e-7)
     diff_k = VPolytope(pairwise_differences(k.vertices))
     half = VPolytope(0.5 * pairwise_differences(c.vertices))
     assert report.a3 == pytest.approx(oracle_circumradius(diff_k, half), abs=1e-7)

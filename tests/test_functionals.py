@@ -191,6 +191,11 @@ def test_gauge_body_requires_interior_origin():
     segment = VPolytope([[-1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(GaugeError):
         GaugeBody.from_polytope(segment)
+    # The origin is a vertex; at this size rounding of a slack relative to
+    # the body would exceed the absolute margin.
+    t = np.array([[-0.139, -0.477], [1.065, 1.416], [-2.228, -0.414]])
+    with pytest.raises(GaugeError):
+        GaugeBody.from_polytope(VPolytope(1e9 * (t - t[0])))
 
 
 # ---------------------------------------------------------------------------

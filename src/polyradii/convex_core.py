@@ -393,27 +393,6 @@ def interior_slack(p: VPolytope, point) -> float:
     return 1.0 / top
 
 
-def hpolytope_is_bounded(h: HPolytope) -> bool:
-    """LP certificate of boundedness in every ±coordinate direction."""
-    d = h.dim
-    relations = (lp_solver.LESS_EQUAL,) * h.normals.shape[0]
-    bounds = (None,) * d
-    for k in range(d):
-        for sign in (1.0, -1.0):
-            objective = np.zeros(d)
-            objective[k] = -sign  # maximise sign * x_k
-            out = lp_solver.solve(
-                LinearProgram(objective, h.normals, relations, h.offsets, bounds)
-            )
-            if out.status == lp_solver.UNBOUNDED:
-                return False
-            if out.status == lp_solver.INFEASIBLE:
-                return True  # empty sets are vacuously bounded
-            if out.status != lp_solver.OPTIMAL:
-                raise RuntimeError(f"boundedness LP failed with status {out.status}")
-    return True
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange
 

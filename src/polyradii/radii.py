@@ -13,6 +13,8 @@ off the facets in the plane and off the facet cones their LPs have met
 elsewhere.  The planar diameter and the chain's pair-gauge member swap the
 maximum over vertex pairs for one over the gauge's polar vertices
 p_f = n_f / b_f: sup_{i,j} gauge(v_j - v_i) = max_f (h_K(p_f) + h_K(-p_f)).
+The polar vertex attaining the diameter certifies the chain's support-ratio
+member in every dimension, with no sampled directions.
 Minimum width inscribes C-C in K-K, and an interior point is the centre of
 the largest cross-polytope inside the body: both are read off the same
 gauges and engine.
@@ -41,7 +43,6 @@ from .convex_core import (
     _power_of_two_scale,
     difference_hull,
     facets_2d,
-    hull_2d,
     interior_slack,
 )
 from .functionals import (
@@ -86,17 +87,17 @@ class RadiiResult:
 class ChainReport:
     """The five-member inequality chain linking the diameter representations.
 
-    a1 = 2 sup_u h_{K-K}(u) / h_{C-C}(u)        (direction sweep)
+    a1 = 2 sup_u h_{K-K}(u) / h_{C-C}(u)        (support ratio at y*)
     a2 = 2 sup R({x, y}, C) over point pairs    (diameter)
     a3 = R(K-K, (C-C)/2)                        (containment LP)
     a4 = R(K-K, C)                              (containment LP)
     a5 = sup gauge_C(x - y) over point pairs
 
     The first three agree and the chain a3 <= a4 <= a5 always holds, with
-    equality throughout when the gauge body is centered.  ``a1_certified``
-    is False off-plane, where a1 is only a sampled lower bound; the flags
-    involving a1 then assert one-sided consistency instead of equality.
-    The chord-ratio check is two-sided in every dimension.
+    equality throughout when the gauge body is centered.  a1 is evaluated
+    at the polar vertex certifying a2, so it is exact in every dimension
+    and ``a1_certified`` is always True; every flag, the chord-ratio check
+    included, is two-sided.
     """
 
     a1: float
@@ -301,20 +302,31 @@ def diameter(k: VPolytope, c: VPolytope) -> RadiiResult:
     supporting lines of K measured in the gauge, read off one n x F product.
     """
     _check_dims(k, c)
-    gb = _half_difference_gauge(c)
+    value, pair, _ = _diameter(k, _half_difference_gauge(c))
+    return RadiiResult("D", value, pair=pair)
+
+
+def _diameter(k: VPolytope, half: GaugeBody) -> tuple[float, tuple[int, int],
+                                                       np.ndarray | None]:
+    """D, its witness pair (i, j), and the polar vertex y* of ``half`` =
+    (C-C)/2 at v_j - v_i, or None when K has one vertex.
+
+    y*.w <= 1 on every vertex w of (C-C)/2 and y*.(v_j - v_i) = D, so
+    2 h_{K-K}(y*) / h_{C-C}(y*) >= D: y* is D's dual certificate.
+    """
     verts = k.vertices
-    n = verts.shape[0]
-    if n == 1:
-        return RadiiResult("D", 0.0, pair=(0, 0))
-    evaluate = _GaugeEvaluator(gb.body)
+    if verts.shape[0] == 1:
+        return 0.0, (0, 0), None
+    evaluate = _GaugeEvaluator(half.body)
     # The gauge of (C-C)/2 is symmetric, so the first row attaining the
     # maximum has an attaining partner after it; that row is evaluated again
-    # for its first attaining column.
+    # for its first attaining column and that column's polar vertex.
     row_max = evaluate.pairwise_maxima(verts, symmetric=True)
     top = float(row_max.max())
     i = int(np.argmax(row_max >= _tie_floor(top)))
-    j = i + 1 + int(np.argmax(evaluate(verts[i + 1:] - verts[i]) >= _tie_floor(top)))
-    return RadiiResult("D", max(0.0, top), pair=(i, j))
+    values, polar = evaluate.with_normals(verts[i + 1:] - verts[i])
+    j = int(np.argmax(values >= _tie_floor(top)))
+    return max(0.0, top), (i, i + 1 + j), polar[j]
 
 
 # ---------------------------------------------------------------------------
@@ -323,26 +335,8 @@ def diameter(k: VPolytope, c: VPolytope) -> RadiiResult:
 
 def _degenerate_direction(diff: VPolytope) -> np.ndarray:
     """A unit direction in which a lower-dimensional difference body is flat."""
-    if diff.dim == 2:
-        hull = hull_2d(diff.vertices).vertices
-        if hull.shape[0] == 1:
-            return np.array([1.0, 0.0])
-        t = hull[1] - hull[0]
-        n = np.array([t[1], -t[0]])
-        return n / np.linalg.norm(n)
-    _, singular, vt = np.linalg.svd(diff.vertices, full_matrices=True)
+    _, _, vt = np.linalg.svd(diff.vertices, full_matrices=True)
     return vt[-1]
-
-
-def _width_ratio(a: VPolytope, b: VPolytope, directions: np.ndarray) -> np.ndarray:
-    return 2.0 * support_values(a, directions) / support_values(b, directions)
-
-
-def _unit_rows(vertices: np.ndarray) -> np.ndarray:
-    """The rows scaled to unit length, less those near zero for their scale."""
-    norms = np.linalg.norm(vertices, axis=1)
-    keep = norms > 1e-12 * norms.max()
-    return vertices[keep] / norms[keep, None]
 
 
 def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
@@ -353,9 +347,8 @@ def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
     t = 1 / max_w gauge_{K-K}(w) over the vertices w of C-C.  In the plane
     the facet closed form gives the value and the witness, the facet normal
     of K-K with the least ratio.  Off the plane the gauges are one batched
-    evaluation, and the witness is the direction of least ratio among the
-    polar vertex attaining the largest gauge and the vertex directions of
-    both bodies.
+    evaluation, and the witness is the unit polar vertex of K-K attaining
+    the largest gauge: its support ratio is the width.
     """
     _check_dims(k, c)
     a = difference_hull(k)
@@ -377,13 +370,8 @@ def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
     nonzero = np.linalg.norm(b.vertices, axis=1) > 1e-12 * _extent(b)
     values, normals = _GaugeEvaluator(a).with_normals(b.vertices[nonzero])
     top = float(values.max())
-    rows = [a.vertices, b.vertices]
-    if np.isfinite(top):
-        normal = normals[int(np.argmax(values >= _tie_floor(top)))]
-        rows.insert(0, np.vstack([normal, -normal]))
-    stack = np.vstack([_unit_rows(verts) for verts in rows])
-    arg = int(np.argmin(_width_ratio(a, b, stack)))
-    return RadiiResult("omega", 2.0 / top, direction=stack[arg])
+    normal = normals[int(np.argmax(values >= _tie_floor(top)))]
+    return RadiiResult("omega", 2.0 / top, direction=normal / np.linalg.norm(normal))
 
 
 def min_width_facet_2d(k: VPolytope, c: VPolytope) -> tuple[float, np.ndarray]:
@@ -398,10 +386,11 @@ def min_width_facet_2d(k: VPolytope, c: VPolytope) -> tuple[float, np.ndarray]:
 
 
 def _facet_width_2d(a: VPolytope, b: VPolytope) -> tuple[float, np.ndarray]:
-    """Minimal ratio 2 h_A(u) / h_B(u) over the facet normals u of A."""
+    """Minimal ratio 2 h_A(u) / h_B(u) over the facet normals u of A; 0 for
+    a flat A, along the first normal of its affine hull."""
     fa = facets_2d(a)
     if fa.lower_dimensional:
-        return 0.0, _degenerate_direction(a)
+        return 0.0, fa.normals[0]
     ratios = 2.0 * fa.offsets / support_values(b, fa.normals)
     arg = int(np.argmin(ratios))
     return float(ratios[arg]), fa.normals[arg]
@@ -417,9 +406,10 @@ def induced_norm(c: VPolytope, x) -> FunctionalValue:
     return gauge(gb, _as_vector(x, c.dim))
 
 
-def _is_centered(vertices: np.ndarray, tol: float = _CENTERED_TOL) -> bool:
-    sums = vertices[:, None, :] + vertices[None, :, :]
-    return bool(np.abs(sums).max(axis=2).min(axis=1).max() <= tol)
+def _is_centered(p: VPolytope) -> bool:
+    """Every vertex has its negation in the list, up to the body's extent."""
+    sums = p.vertices[:, None, :] + p.vertices[None, :, :]
+    return bool(np.abs(sums).max(axis=2).min(axis=1).max() <= _CENTERED_TOL * _extent(p))
 
 
 def symmetric_circumradius(k: VPolytope, c: GaugeBody) -> float:
@@ -429,9 +419,9 @@ def symmetric_circumradius(k: VPolytope, c: GaugeBody) -> float:
     else, because the identity fails for non-centered bodies.
     """
     _check_dims(k, c)
-    if not _is_centered(k.vertices):
+    if not _is_centered(k):
         raise ValueError("symmetric circumradius needs a centered body")
-    if not _is_centered(c.body.vertices):
+    if not _is_centered(c.body):
         raise ValueError("symmetric circumradius needs a centered gauge body")
     return max(gauge(c, v).value for v in k.vertices)
 
@@ -461,61 +451,47 @@ def interior_point(p: VPolytope) -> np.ndarray:
 
 
 def _interior_gauge(c: VPolytope) -> tuple[GaugeBody, np.ndarray]:
-    """C as a gauge body: as given when the origin is interior, else recentered."""
+    """C as a gauge body: as given when the origin is interior, else
+    recentered at the point that ``interior_point`` has certified."""
     shift = np.zeros(c.dim)
     if interior_slack(c, shift) >= _interior_margin(c):
         return GaugeBody(c, shift), shift
     shift = interior_point(c)
-    return GaugeBody.from_polytope(VPolytope(c.vertices - shift)), shift
+    return GaugeBody(VPolytope(c.vertices - shift), np.zeros(c.dim)), shift
 
 
-def _gauge_is_centered(c: VPolytope, rng: np.random.Generator) -> bool:
-    tol = _CENTERED_TOL * _extent(c)
-    if c.dim == 2:
-        hull = hull_2d(c.vertices)
-        if len(hull) == 1:
-            return bool(np.linalg.norm(hull.vertices[0]) <= tol)
-        dirs = facets_2d(hull).normals
-    else:
-        dirs = np.vstack([_unit_rows(c.vertices), rng.normal(size=(200, c.dim))])
-    forward = support_values(c, dirs)
-    backward = support_values(c, -dirs)
-    return bool(np.abs(forward - backward).max() <= tol)
+def _unit_rows(vertices: np.ndarray) -> np.ndarray:
+    """The rows scaled to unit length, less those near zero for their scale."""
+    norms = np.linalg.norm(vertices, axis=1)
+    keep = norms > 1e-12 * norms.max()
+    return vertices[keep] / norms[keep, None]
 
 
 def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     """Compute the five chain members by independent routes and check them.
 
     Also checks the chord-ratio representation of the diameter and the
-    classical bound D <= 2R.  Off-plane, a1 is a sampled lower bound rather
-    than a certified value.
+    classical bound D <= 2R.  a1 is the largest support ratio over the
+    vertex directions of C-C and the polar vertex y* of (C-C)/2 that
+    certifies D.  No direction exceeds D and y* attains it, so a1 = a2
+    checks D's certificate in every dimension.
     """
     _check_dims(k, c)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    d = k.dim
     a = difference_hull(k)
-    b = difference_hull(c)
-    gauge_c, _ = _interior_gauge(c)
-    rng = np.random.default_rng(20210321)
+    gauge_c, shift = _interior_gauge(c)
+    half = _half_difference_gauge(c)
+    b = VPolytope(2.0 * half.body.vertices)  # C-C: halving and doubling are exact
 
-    if d == 2:
-        fb = facets_2d(b)
-        if fb.lower_dimensional:
-            raise ValueError("chain verification needs a full-dimensional gauge body")
-        sweep = np.vstack([facets_2d(a).normals, fb.normals])
-        a1_certified = True
-    else:
-        random_dirs = rng.normal(size=(500, d))
-        random_dirs /= np.linalg.norm(random_dirs, axis=1, keepdims=True)
-        sweep = np.vstack([_unit_rows(b.vertices), random_dirs])
-        a1_certified = False
-    a1 = float(np.max(_width_ratio(a, b, sweep)))
-
-    a2 = diameter(k, c).value
-    a3 = circumradius(a, VPolytope(0.5 * b.vertices)).value
+    a2, _, y_star = _diameter(k, half)
+    directions = _unit_rows(b.vertices)
+    sweep = directions if y_star is None else np.vstack([y_star, directions])
+    a1 = 2.0 * float(np.max(support_values(a, sweep) / support_values(b, sweep)))
+    a3 = circumradius(a, half.body).value
     a4 = circumradius(a, c).value
-    a5 = float(_GaugeEvaluator(gauge_c.body).pairwise_maxima(k.vertices).max())
+    evaluate_c = _GaugeEvaluator(gauge_c.body)
+    a5 = float(evaluate_c.pairwise_maxima(k.vertices).max())
 
     # Chord-ratio representation of the diameter (convex bodies).
     # Chord lengths are reciprocal gauges of the centered bodies K-K and
@@ -523,22 +499,18 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     # boundary of A it is the convex gauge_B, which peaks at a vertex of A:
     # the vertex directions of A attain the supremum in every dimension.
     # Skip the directions with no chord of K-K or a vanishing chord of C-C.
-    chord_sweep = np.vstack([_unit_rows(a.vertices), _unit_rows(b.vertices)])
+    chord_sweep = np.vstack([_unit_rows(a.vertices), directions])
     gamma_a = _GaugeEvaluator(a)(chord_sweep)
     gamma_b = _GaugeEvaluator(b)(chord_sweep)
     keep = np.isfinite(gamma_a) & (gamma_b < 1e12)
     chord_value = 2.0 * float(np.max(gamma_b[keep] / gamma_a[keep])) if keep.any() else 0.0
 
     two_r = 2.0 * circumradius(k, c).value
-    centered = _gauge_is_centered(c, rng)
+    # C = -C exactly when the origin is interior and C holds -v for each vertex v.
+    centered = bool(not shift.any()
+                    and evaluate_c(-c.vertices).max() <= 1.0 + _CENTERED_TOL)
 
-    # Off-plane, a1 is a sampled lower bound, so only its one-sided
-    # consistency is checkable; a1_certified records this.
-    if a1_certified:
-        a1_consistent = bool(abs(a1 - a2) <= tol)
-    else:
-        a1_consistent = bool(a1 <= a2 + tol)
-    chord_consistent = bool(abs(chord_value - a2) <= tol)
+    a1_consistent = bool(abs(a1 - a2) <= tol)
     flags = {
         "a1_eq_a2": a1_consistent,
         "a2_eq_a3": bool(abs(a2 - a3) <= tol),
@@ -546,16 +518,14 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
         "a4_le_a5": bool(a4 <= a5 + tol),
         "diameter_le_2R": bool(a2 <= two_r + tol),
         "centered_gauge": centered,
-        "eq_chord_ratio": chord_consistent,
+        "eq_chord_ratio": bool(abs(chord_value - a2) <= tol),
     }
-    certified_spread = max(a2, a3, a4, a5) - min(a2, a3, a4, a5)
-    all_equal = bool(a1_consistent and certified_spread <= tol
-                     and (not a1_certified or abs(a5 - a1) <= tol))
+    spread = max(a2, a3, a4, a5) - min(a2, a3, a4, a5)
+    all_equal = bool(a1_consistent and spread <= tol and abs(a5 - a1) <= tol)
     flags["all_equal"] = all_equal
     flags["equality_case_ok"] = bool(not centered or all_equal)
 
-    return ChainReport(a1, a2, a3, a4, a5, flags=flags, tol=tol,
-                       a1_certified=a1_certified)
+    return ChainReport(a1, a2, a3, a4, a5, flags=flags, tol=tol)
 
 
 # ---------------------------------------------------------------------------

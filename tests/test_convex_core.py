@@ -342,13 +342,7 @@ def test_functionals_ignore_redundant_vertices():
 
 
 # ---------------------------------------------------------------------------
-# boundedness certificate and JSON
-
-
-def test_hpolytope_boundedness_certificate():
-    assert core.hpolytope_is_bounded(facets_2d(SQUARE))
-    halfplane = HPolytope([[1.0, 0.0]], [1.0])
-    assert not core.hpolytope_is_bounded(halfplane)
+# JSON
 
 
 def test_vpolytope_json_round_trip():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from polyradii import lp_solver, radii
+from polyradii import functionals, lp_solver, radii
 from polyradii.bodies import BodySpec, make_body
 from polyradii.convex_core import (
     DimensionMismatchError,
@@ -22,12 +22,11 @@ from polyradii.radii import (
     induced_norm,
     inradius,
     min_width,
-    min_width_facet_2d,
     radii_report,
     symmetric_circumradius,
     verify_chain,
 )
-from test_cross_validation import oracle_circumradius, oracle_inradius
+from test_cross_validation import oracle_circumradius, oracle_inradius, oracle_min_width
 
 SQRT3 = math.sqrt(3.0)
 TRIANGLE = make_body(BodySpec("equilateral_triangle"))
@@ -360,13 +359,13 @@ def test_min_width_square_in_triangle_gauge():
 
 
 def test_min_width_matches_facet_oracle():
+    # The oracle takes the facets of K-K from Qhull, apart from polyradii.
     rng = np.random.default_rng(263)
     for _ in range(25):
         k = random_polytope(rng, 2)
         c = random_full_dim(rng, 2)
         res = min_width(k, c)
-        oracle_value, _ = min_width_facet_2d(k, c)
-        assert res.value == pytest.approx(oracle_value, abs=1e-7)
+        assert res.value == pytest.approx(oracle_min_width(k, c), abs=1e-7)
 
 
 def test_min_width_witness_direction_attains_ratio():
@@ -485,11 +484,17 @@ def test_symmetric_circumradius_agrees_with_general_lp():
 
 
 def test_symmetric_circumradius_rejects_non_centered():
-    gb = GaugeBody.from_polytope(SQUARE)
-    with pytest.raises(ValueError):
-        symmetric_circumradius(TRIANGLE, gb)
-    with pytest.raises(ValueError):
-        symmetric_circumradius(SQUARE, GaugeBody.from_polytope(TRIANGLE))
+    # The centring test is relative to the body's size, so it decides alike
+    # at every scale.
+    for scale in (1.0, 1e-12, 1e12):
+        square = VPolytope(scale * SQUARE.vertices)
+        triangle = VPolytope(scale * TRIANGLE.vertices)
+        gb = GaugeBody.from_polytope(square)
+        assert symmetric_circumradius(square, gb) == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(ValueError):
+            symmetric_circumradius(triangle, gb)
+        with pytest.raises(ValueError):
+            symmetric_circumradius(square, GaugeBody.from_polytope(triangle))
 
 
 # ---------------------------------------------------------------------------
@@ -525,28 +530,69 @@ def test_chain_collapses_for_centered_gauges():
             assert spread <= 1e-6
 
 
-def test_chain_in_three_dimensions_reports_sampled_a1():
+def test_chain_in_three_dimensions_certifies_a1():
     k = make_body(BodySpec("simplex", dim=3))
     c = make_body(BodySpec("cube", dim=3))
     report = verify_chain(k, c, tol=1e-6)
-    assert not report.a1_certified
+    assert report.a1_certified
+    assert abs(report.a1 - report.a2) <= 1e-9
     assert report.ok
     assert isinstance(report, ChainReport)
 
 
-def test_chain_holds_on_random_three_dimensional_pairs():
-    # Off-plane a1 is a sampled lower bound, so the verifier must not flag
-    # the (always true) chain just because the direction sweep undershoots.
+def test_chain_holds_on_random_spatial_pairs():
+    # a1 is read at the polar vertex certifying D, so it equals a2 off the
+    # plane too, and every flag is two-sided.
     rng = np.random.default_rng(311)
-    checked = 0
-    while checked < 10:
-        k = random_polytope(rng, 3)
-        c = random_full_dim(rng, 3)
-        c = VPolytope(c.vertices - c.vertices.mean(axis=0))
+    for dim in (3, 4):
+        for _ in range(10):
+            k = random_polytope(rng, dim)
+            c = random_full_dim(rng, dim)
+            c = VPolytope(c.vertices - c.vertices.mean(axis=0))
+            report = verify_chain(k, c, tol=1e-6)
+            assert report.ok, report.flags
+            assert report.a1_certified
+            assert abs(report.a1 - report.a2) <= 1e-9 * max(1.0, report.a2)
+
+
+def test_chain_flags_a_diameter_below_its_certificate(monkeypatch):
+    # A diameter reported 0.1% low, with its polar vertex unchanged: the
+    # support ratio at that vertex still reaches the true D, so a1_eq_a2
+    # fails.  On these pairs the vertex directions of C-C alone stay 15% and
+    # 52% below D, so it is y* that catches the error.
+    exact = radii._diameter
+
+    def low(k, half):
+        value, pair, y_star = exact(k, half)
+        return 0.999 * value, pair, y_star
+
+    monkeypatch.setattr(radii, "_diameter", low)
+    rng = np.random.default_rng(317)
+    for dim in (3, 4):
+        k = random_polytope(rng, dim)
+        c = random_full_dim(rng, dim)
         report = verify_chain(k, c, tol=1e-6)
-        assert report.ok, report.flags
-        assert report.a1 <= report.a2 + 1e-6
-        checked += 1
+        assert not report.flags["a1_eq_a2"]
+        assert not report.ok
+
+
+def test_recentred_gauge_is_certified_once(monkeypatch):
+    # interior_point certifies the shift, so the shifted gauge body is not
+    # certified again: the origin, the centroid and (C-C)/2, one call each.
+    calls = []
+    real = radii.interior_slack
+
+    def counted(p, point):
+        calls.append(point)
+        return real(p, point)
+
+    monkeypatch.setattr(radii, "interior_slack", counted)
+    monkeypatch.setattr(functionals, "interior_slack", counted)
+    cube = make_body(BodySpec("cube", dim=3))
+    simplex = make_body(BodySpec("simplex", dim=3))
+    report = verify_chain(cube, VPolytope(simplex.vertices + 5.0), tol=1e-6)
+    assert report.ok
+    assert len(calls) == 3
 
 
 def test_chain_recenteres_badly_placed_gauges():
@@ -559,8 +605,8 @@ def test_chain_recenteres_badly_placed_gauges():
 
 
 def test_chain_reports_are_deterministic():
-    # Sampling inside the verifier is seeded, so identical inputs must give
-    # identical reports, including off-plane where directions are random.
+    # The verifier samples nothing and its gauge caches live for one call,
+    # so identical inputs must give identical reports in every dimension.
     rng = np.random.default_rng(313)
     for dim in (2, 3):
         k = random_polytope(rng, dim)

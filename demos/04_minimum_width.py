@@ -21,7 +21,6 @@ from polyradii import (
     support,
     transform,
 )
-from polyradii.radii import min_width_facet_2d
 
 triangle = make_body(BodySpec("equilateral_triangle"))
 square = make_body(BodySpec("centered_square"))
@@ -30,9 +29,11 @@ res = min_width(square, triangle)
 print(f"omega(square, triangle) = {res.value:.9f}")
 print(f"thin direction (facet normal of K-K): {res.direction}")
 
-# The facet-normal closed form agrees with the inscription LP.
-value, direction = min_width_facet_2d(square, triangle)
-print(f"facet oracle: {value:.9f} along {direction}")
+# The width is the support ratio 2 h_{K-K}(u) / h_{C-C}(u) at that direction.
+u = res.direction
+ratio = (2.0 * support(difference_hull(square), u).value
+         / support(difference_hull(triangle), u).value)
+print(f"support ratio at that direction: {ratio:.9f}")
 
 # A degenerate body has zero width in the direction it is flat.
 segment = make_body(BodySpec("segment", dim=2, scale=3.0))

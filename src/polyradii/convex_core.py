@@ -4,7 +4,10 @@ Bodies are stored by their vertices (V-representation).  Vertex lists may
 contain redundant points: every functional downstream reads through a max or
 an LP, so redundancy is harmless and is only ever pruned by the 2D hull.
 Halfspace representations exist solely in the plane, where facet enumeration
-is exact and cheap.
+is exact and cheap.  Gauges are evaluated here as well, by one batched
+``_GaugeEvaluator`` per body (polar vertices in the plane, cached gauge LPs
+elsewhere), and the interior certificate ``interior_slack`` is its slack: in
+the plane the facet closed form min_f b_f / |n_f|_inf.
 """
 
 from __future__ import annotations
@@ -26,6 +29,12 @@ EPS_LP = 1e-7
 # full-dimensional; below unit extent it shrinks with the body (see
 # _interior_margin).
 INTERIOR_MARGIN = 1e-9
+# A cached facet cone holds a point when the point's weights are non-negative
+# up to this fraction of their total size.
+_CONE_TOL = 1e-12
+# Bases with a larger condition number are not cached: their points keep
+# taking LPs.
+_BASIS_COND = 1e6
 
 
 class DimensionMismatchError(ValueError):
@@ -374,23 +383,135 @@ class _GaugeLP:
         return max(0.0, out.value / length), out.duals * self.scale, out.basis
 
 
-def interior_slack(p: VPolytope, point) -> float:
-    """Largest rho with point ± rho e_k in the hull for every axis k, or -1.
+class _GaugeEvaluator:
+    """Batched gauge of a body over the rows of a point array.
 
-    Positive slack certifies ``point`` interior; compare it with
-    ``_interior_margin(p)``.  It is 1 / max_k gauge(±e_k) in the body
-    translated by -point, one gauge LP per direction.  A point outside the
-    body or on its boundary leaves the cone of the translated vertices along
-    some ±e_k, and the first infinite gauge returns -1.
+    A planar body whose facet offsets b_f are all positive (the origin is
+    interior) reads it off its polar vertices p_f = n_f / b_f in one
+    product.  Any other body solves gauge LPs and caches the facets they
+    meet: an optimal basis of d vertex columns B_f spans the cone over one
+    facet, on which the gauge is linear.  A later point x with weights
+    mu = B_f^-1 x >= 0 has gauge sum(mu), certified both ways: mu is a
+    feasible weight vector, and the basis dual y_f = B_f^-T 1, a polar
+    vertex by the LP's optimality, gives y_f.x = sum(mu).  Each batch is tested against every
+    cached cone at once, and only the points no cone holds take an LP.  The
+    cache lives as long as the evaluator.  The gauge is inf off the cone of
+    the vertices, where the LP is infeasible and caches nothing; nor does a
+    flat body's LP, whose basis keeps an artificial column.
     """
-    gauge_lp = _GaugeLP(p.vertices - _as_vector(point, p.dim))
-    top = 0.0
-    for direction in np.vstack([np.eye(p.dim), -np.eye(p.dim)]):
-        value = gauge_lp(direction)[0]
-        if not np.isfinite(value):
-            return -1.0
-        top = max(top, value)
-    return 1.0 / top
+
+    def __init__(self, body: VPolytope):
+        self.dim = body.dim
+        self.facets = None
+        self.polar_vertices = None
+        if body.dim == 2:
+            f = facets_2d(body)
+            if not f.lower_dimensional and (f.offsets > 0.0).all():
+                self.facets = f
+                self.polar_vertices = (f.normals / f.offsets[:, None]).T
+                return
+        self.lp = _GaugeLP(body.vertices)
+        # Inverse bases of the cached facets, stacked as (facets * d, d), and
+        # the polar vertex y_f of each facet in the body's coordinates.
+        self.inverses = np.empty((0, body.dim))
+        self.normals = np.empty((0, body.dim))
+
+    def __call__(self, points) -> np.ndarray:
+        return self.with_normals(points)[0]
+
+    def with_normals(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """The gauge of each row and a polar vertex y attaining it.
+
+        y.v <= 1 on every vertex v of the body and y.x = gauge(x): the planar
+        argmax p_f, the cached cone's B_f^-T 1, or the gauge LP's dual
+        normal.  Rows whose gauge is inf get a nan normal.
+        """
+        points = np.atleast_2d(points)
+        if self.polar_vertices is not None:
+            products = points @ self.polar_vertices
+            best = products.argmax(axis=1)
+            values = products[np.arange(points.shape[0]), best]
+            return np.maximum(values, 0.0), self.polar_vertices[:, best].T
+        values, facet = self._lookup(points, 0)
+        normals = np.full(points.shape, np.nan)
+        for i in np.flatnonzero(np.isnan(values)):
+            if not np.isnan(values[i]):
+                continue  # held by a facet cached after the first lookup
+            values[i], normal, basis = self.lp(points[i])
+            if normal is not None:
+                normals[i] = normal
+            inverse = self._facet_inverse(basis)
+            if inverse is not None:
+                start = self.normals.shape[0]
+                self.inverses = np.vstack([self.inverses, inverse])
+                self.normals = np.vstack([self.normals, inverse.sum(axis=0) * self.lp.scale])
+                rest = np.flatnonzero(np.isnan(values))
+                values[rest], facet[rest] = self._lookup(points[rest], start)
+        held = facet >= 0
+        normals[held] = self.normals[facet[held]]
+        return values, normals
+
+    def _lookup(self, points: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """Gauge of each point, and the index of the first cached cone from
+        ``start`` on that holds it; nan and -1 where none does."""
+        count, d = points.shape
+        values = np.full(count, np.nan)
+        index = np.full(count, -1)
+        inverses = self.inverses[start * d:]
+        facets = inverses.shape[0] // d
+        if facets == 0:
+            return values, index
+        weights = ((points * self.lp.scale) @ inverses.T).reshape(count, facets, d)
+        inside = weights.min(axis=2) >= -_CONE_TOL * np.abs(weights).sum(axis=2)
+        hit = np.flatnonzero(inside.any(axis=1))
+        first = inside[hit].argmax(axis=1)
+        values[hit] = np.maximum(weights[hit, first].sum(axis=1), 0.0)
+        index[hit] = start + first
+        return values, index
+
+    def _facet_inverse(self, basis: np.ndarray | None) -> np.ndarray | None:
+        """B_f^-1 of an optimal basis of d well-conditioned vertex columns,
+        else None."""
+        if basis is None or (basis >= self.lp.lhs.shape[1]).any():
+            return None  # inf, or an artificial column parked on a flat body
+        columns = self.lp.lhs[:, basis]
+        if np.linalg.cond(columns) > _BASIS_COND:
+            return None
+        return np.linalg.inv(columns)
+
+    def slack(self) -> float:
+        """1 / max_k gauge(±e_k): the largest rho with ±rho e_k in the body
+        for every axis k, min_f b_f / |n_f|_inf in the plane.  -1 when the
+        origin is not interior: some ±e_k then leaves the cone, gauge inf."""
+        top = float(self(np.vstack([np.eye(self.dim), -np.eye(self.dim)])).max())
+        return 1.0 / top if np.isfinite(top) else -1.0
+
+    def pairwise_maxima(self, points: np.ndarray, symmetric: bool = False) -> np.ndarray:
+        """For each row v_i of ``points``, max over rows v_j of gauge(v_j - v_i).
+
+        In the plane the two maxima swap: with P = V @ polar,
+        max_j max_f (P[j, f] - P[i, f]) is a support-function difference per
+        polar vertex, so one n x F product replaces n rows of n x F gauge
+        evaluations.  The points are centred first, as differences are, so
+        the products do not carry their offset.  Any other body evaluates
+        every ordered pair, or, for a ``symmetric`` body, every later partner
+        j > i only, one batch per row through the facet cache.  The overall
+        maximum and the first row attaining it are the same either way.
+        """
+        if self.polar_vertices is not None:
+            products = (points - points.mean(axis=0)) @ self.polar_vertices
+            np.subtract(products.max(axis=0), products, out=products)
+            return np.maximum(products.max(axis=1), 0.0)
+        return np.array([
+            self((points[i + 1:] if symmetric else np.delete(points, i, axis=0))
+                 - points[i]).max(initial=0.0)
+            for i in range(points.shape[0])])
+
+
+def interior_slack(p: VPolytope, point) -> float:
+    """``_GaugeEvaluator.slack`` of the body translated by -point; a slack
+    above ``_interior_margin(p)`` certifies ``point`` interior."""
+    return _GaugeEvaluator(VPolytope(p.vertices - _as_vector(point, p.dim))).slack()
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .convex_core import (
     DimensionMismatchError,
     LowerDimensionalError,
     VPolytope,
+    _GaugeEvaluator,
     _as_vector,
     _column_scales,
     _extent,
@@ -49,7 +50,6 @@ from .functionals import (
     FunctionalValue,
     GaugeBody,
     GaugeError,
-    _GaugeEvaluator,
     gauge,
     support_values,
 )
@@ -172,12 +172,11 @@ def _containment(program: str, k: VPolytope, c: VPolytope) -> RadiiResult:
     k_shift, c_shift = k.vertices.mean(axis=0), c.vertices.mean(axis=0)
     kv, cv = k.vertices - k_shift, c.vertices - c_shift
     inner, outer = (kv, cv) if circum else (cv, kv)
-    size = float(np.abs(outer).max())
-    _, singular, vt = np.linalg.svd(outer, full_matrices=False)
-    rank = int(np.count_nonzero(singular > 1e-12 * size))
+    rank, vt = _flat_rank(outer)
     # Coordinates in the hull: the identity, which is exact, when it is all of space.
     hull = np.eye(k.dim) if rank == k.dim else vt[:rank].T
-    if np.abs(inner - inner @ hull @ hull.T).max() > 1e-12 * max(size, np.abs(inner).max()):
+    size = max(np.abs(outer).max(), np.abs(inner).max())
+    if np.abs(inner - inner @ hull @ hull.T).max() > 1e-12 * size:
         if circum:
             raise RuntimeError("circumradius is unbounded: no multiple of the flat "
                                "gauge body covers the body")
@@ -190,6 +189,12 @@ def _containment(program: str, k: VPolytope, c: VPolytope) -> RadiiResult:
     lam, x = (lam / a, x / a) if circum else (lam * a, x)
     center = k_shift + hull @ (x / scales) - lam * c_shift
     return RadiiResult("R" if circum else "r", lam, center=center)
+
+
+def _flat_rank(points: np.ndarray) -> tuple[int, np.ndarray]:
+    """Rank of the rows up to 1e-12 of their size, and their right singular vectors."""
+    _, singular, vt = np.linalg.svd(points, full_matrices=False)
+    return int(np.count_nonzero(singular > 1e-12 * np.abs(points).max())), vt
 
 
 def _facet_generation(program: str, inner: np.ndarray,
@@ -245,6 +250,9 @@ def _facet_generation(program: str, inner: np.ndarray,
             lam, x = max(0.0, sign * out.value), sign * out.duals[:d] * scale
         points = inner - x if circum else x + lam * inner
         values, polar = evaluate.with_normals(points)
+        if not np.isfinite(values).all():
+            raise RuntimeError(f"{master}: the oracle's gauge LP is infeasible at "
+                               f"{np.count_nonzero(np.isinf(values))} of {values.size} points")
         # The oracle's bound from each point: x + gauge * C covers v_j for R,
         # and (x, lambda) / gauge is feasible for r.
         gaps = values - lam if circum else lam - lam / np.maximum(values, 1.0)
@@ -317,14 +325,13 @@ def _diameter(k: VPolytope, half: GaugeBody) -> tuple[float, tuple[int, int],
     verts = k.vertices
     if verts.shape[0] == 1:
         return 0.0, (0, 0), None
-    evaluate = _GaugeEvaluator(half.body)
     # The gauge of (C-C)/2 is symmetric, so the first row attaining the
     # maximum has an attaining partner after it; that row is evaluated again
     # for its first attaining column and that column's polar vertex.
-    row_max = evaluate.pairwise_maxima(verts, symmetric=True)
+    row_max = half._evaluate.pairwise_maxima(verts, symmetric=True)
     top = float(row_max.max())
     i = int(np.argmax(row_max >= _tie_floor(top)))
-    values, polar = evaluate.with_normals(verts[i + 1:] - verts[i])
+    values, polar = half._evaluate.with_normals(verts[i + 1:] - verts[i])
     j = int(np.argmax(values >= _tie_floor(top)))
     return max(0.0, top), (i, i + 1 + j), polar[j]
 
@@ -361,9 +368,9 @@ def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
         value, direction = _facet_width_2d(a, b)
         return RadiiResult("omega", value, direction=direction)
 
-    if np.linalg.matrix_rank(b.vertices, tol=1e-9 * _extent(b)) < d:
+    if _flat_rank(b.vertices)[0] < d:
         raise ValueError("diameter/width need a full-dimensional gauge body")
-    if np.linalg.matrix_rank(a.vertices, tol=1e-9 * _extent(a)) < d:
+    if _flat_rank(a.vertices)[0] < d:
         return RadiiResult("omega", 0.0, direction=_degenerate_direction(a))
 
     # The origin vertex of C-C imposes no constraint.
@@ -372,17 +379,6 @@ def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
     top = float(values.max())
     normal = normals[int(np.argmax(values >= _tie_floor(top)))]
     return RadiiResult("omega", 2.0 / top, direction=normal / np.linalg.norm(normal))
-
-
-def min_width_facet_2d(k: VPolytope, c: VPolytope) -> tuple[float, np.ndarray]:
-    """Closed-form planar width: minimal support ratio over K-K facet normals.
-
-    ``min_width`` takes the same route in the plane.
-    """
-    _check_dims(k, c)
-    if k.dim != 2:
-        raise DimensionMismatchError("facet oracle is planar only")
-    return _facet_width_2d(difference_hull(k), difference_hull(c))
 
 
 def _facet_width_2d(a: VPolytope, b: VPolytope) -> tuple[float, np.ndarray]:
@@ -423,7 +419,7 @@ def symmetric_circumradius(k: VPolytope, c: GaugeBody) -> float:
         raise ValueError("symmetric circumradius needs a centered body")
     if not _is_centered(c.body):
         raise ValueError("symmetric circumradius needs a centered gauge body")
-    return max(gauge(c, v).value for v in k.vertices)
+    return float(c._evaluate(k.vertices).max())
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +449,11 @@ def interior_point(p: VPolytope) -> np.ndarray:
 def _interior_gauge(c: VPolytope) -> tuple[GaugeBody, np.ndarray]:
     """C as a gauge body: as given when the origin is interior, else
     recentered at the point that ``interior_point`` has certified."""
-    shift = np.zeros(c.dim)
-    if interior_slack(c, shift) >= _interior_margin(c):
-        return GaugeBody(c, shift), shift
-    shift = interior_point(c)
-    return GaugeBody(VPolytope(c.vertices - shift), np.zeros(c.dim)), shift
+    try:
+        return GaugeBody.from_polytope(c), np.zeros(c.dim)
+    except GaugeError:
+        shift = interior_point(c)
+        return GaugeBody(VPolytope(c.vertices - shift), np.zeros(c.dim)), shift
 
 
 def _unit_rows(vertices: np.ndarray) -> np.ndarray:
@@ -490,8 +486,7 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     a1 = 2.0 * float(np.max(support_values(a, sweep) / support_values(b, sweep)))
     a3 = circumradius(a, half.body).value
     a4 = circumradius(a, c).value
-    evaluate_c = _GaugeEvaluator(gauge_c.body)
-    a5 = float(evaluate_c.pairwise_maxima(k.vertices).max())
+    a5 = float(gauge_c._evaluate.pairwise_maxima(k.vertices).max())
 
     # Chord-ratio representation of the diameter (convex bodies).
     # Chord lengths are reciprocal gauges of the centered bodies K-K and
@@ -501,14 +496,14 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     # Skip the directions with no chord of K-K or a vanishing chord of C-C.
     chord_sweep = np.vstack([_unit_rows(a.vertices), directions])
     gamma_a = _GaugeEvaluator(a)(chord_sweep)
-    gamma_b = _GaugeEvaluator(b)(chord_sweep)
+    gamma_b = 0.5 * half._evaluate(chord_sweep)  # C-C = 2 (C-C)/2
     keep = np.isfinite(gamma_a) & (gamma_b < 1e12)
     chord_value = 2.0 * float(np.max(gamma_b[keep] / gamma_a[keep])) if keep.any() else 0.0
 
     two_r = 2.0 * circumradius(k, c).value
     # C = -C exactly when the origin is interior and C holds -v for each vertex v.
     centered = bool(not shift.any()
-                    and evaluate_c(-c.vertices).max() <= 1.0 + _CENTERED_TOL)
+                    and gauge_c._evaluate(-c.vertices).max() <= 1.0 + _CENTERED_TOL)
 
     a1_consistent = bool(abs(a1 - a2) <= tol)
     flags = {

@@ -222,6 +222,22 @@ def test_numerical_failures_exit_three(capsys, body_files, monkeypatch, tmp_path
                            "--quantity", "R")
     assert code == 3
     assert "circumradius facet generation did not converge in 1 rounds (d=3" in err
+    # The cube in a rotated box 1e-10 thin: the box's gauge LPs are infeasible
+    # at every vertex of the cube, and the engine names that instead of
+    # passing nan cuts to its master LP.
+    monkeypatch.undo()
+    for dim in (3, 4):
+        rotation = np.linalg.qr(np.random.default_rng(100).normal(size=(dim, dim)))[0]
+        cube = make_body(BodySpec("cube", dim=dim)).vertices
+        for name, vertices in (("cube", cube),
+                               ("box", cube * np.r_[np.ones(dim - 1), 1e-10] @ rotation.T)):
+            (tmp_path / f"{name}.json").write_text(
+                json.dumps({"dim": dim, "vertices": vertices.tolist()}))
+        code, out, err = run_cli(capsys, "radii", "--body", str(tmp_path / "cube.json"),
+                                 "--gauge", str(tmp_path / "box.json"), "--quantity", "R")
+        assert code == 3 and out == ""
+        assert (f"numerical failure: circumradius facet LP ({dim + 1} x 0): the oracle's "
+                f"gauge LP is infeasible at {2 ** dim} of {2 ** dim} points") in err
 
 
 def test_output_uses_nine_significant_digits(capsys, body_files):

@@ -5,13 +5,11 @@ import pytest
 
 from polyradii import lp_solver
 from polyradii.bodies import BodySpec, make_body
-from polyradii.convex_core import VPolytope, difference_hull, member
+from polyradii.convex_core import VPolytope, _GaugeEvaluator, _GaugeLP, difference_hull, member
 from polyradii.functionals import (
     FunctionalValue,
     GaugeBody,
     GaugeError,
-    _GaugeEvaluator,
-    _GaugeLP,
     gauge,
     max_chord,
     polar,
@@ -224,13 +222,14 @@ def _assert_cache_matches_gauge_lps(monkeypatch, body, points):
     assert (np.isinf(cached) == np.isinf(direct)).all()
     finite = np.isfinite(direct)
     np.testing.assert_allclose(cached[finite], direct[finite], rtol=1e-12, atol=0.0)
-    return cached, len(calls), evaluate.inverses.shape[0] // body.dim
+    return cached, len(calls), evaluate
 
 
-@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("dim", [2, 3, 4])
 def test_cached_gauge_matches_one_lp_per_point(monkeypatch, dim):
     rng = np.random.default_rng(dim)
-    bodies = [make_body(BodySpec("cube", dim=dim))]
+    cube = make_body(BodySpec("cube", dim=dim))
+    bodies = [cube, VPolytope(cube.vertices + 2.0)]  # the second has the origin outside
     for _ in range(3):
         p = random_polytope(rng, dim, max_vertices=6)
         bodies.append(VPolytope(p.vertices - p.vertices.mean(axis=0)))
@@ -238,9 +237,13 @@ def test_cached_gauge_matches_one_lp_per_point(monkeypatch, dim):
         bodies.append(p)  # the origin need not be interior: inf off the cone
     for body in bodies:
         points = _probe_points(rng, body.vertices)
-        values, solved, facets = _assert_cache_matches_gauge_lps(monkeypatch, body, points)
-        if np.isfinite(values).all():
-            assert 0 < facets <= solved < points.shape[0] // 2
+        values, solved, evaluate = _assert_cache_matches_gauge_lps(monkeypatch, body, points)
+        if evaluate.polar_vertices is not None:
+            # A planar body with the origin interior: its facets, no LP.
+            assert solved == 0 and np.isfinite(values).all()
+        elif np.isfinite(values).all():
+            assert 0 < evaluate.inverses.shape[0] // dim <= solved < points.shape[0] // 2
+    assert np.isinf(_GaugeEvaluator(bodies[1])(-np.eye(dim))).all()
 
 
 def test_flat_body_keeps_one_lp_per_point_and_inf_off_its_cone(monkeypatch):
@@ -248,8 +251,8 @@ def test_flat_body_keeps_one_lp_per_point_and_inf_off_its_cone(monkeypatch):
     triangle = VPolytope([[1.0, 0.0, 0.0], [-0.5, 1.0, 0.0], [-0.5, -1.0, 0.0]])
     points = np.vstack([_probe_points(rng, triangle.vertices),
                         rng.normal(size=(20, 2)) @ np.eye(2, 3)])
-    values, solved, facets = _assert_cache_matches_gauge_lps(monkeypatch, triangle, points)
-    assert facets == 0
+    values, solved, evaluate = _assert_cache_matches_gauge_lps(monkeypatch, triangle, points)
+    assert evaluate.inverses.shape[0] == 0
     assert solved == points.shape[0]
     off_plane = points[:, 2] != 0.0
     assert off_plane.any() and np.isinf(values[off_plane]).all()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from polyradii import functionals, lp_solver, radii
+from polyradii import convex_core, lp_solver, radii
 from polyradii.bodies import BodySpec, make_body
 from polyradii.convex_core import (
     DimensionMismatchError,
@@ -26,7 +26,12 @@ from polyradii.radii import (
     symmetric_circumradius,
     verify_chain,
 )
-from test_cross_validation import oracle_circumradius, oracle_inradius, oracle_min_width
+from test_cross_validation import (
+    oracle_circumradius,
+    oracle_diameter,
+    oracle_inradius,
+    oracle_min_width,
+)
 
 SQRT3 = math.sqrt(3.0)
 TRIANGLE = make_body(BodySpec("equilateral_triangle"))
@@ -576,18 +581,34 @@ def test_chain_flags_a_diameter_below_its_certificate(monkeypatch):
         assert not report.ok
 
 
+def test_planar_gauge_certificate_and_diameter_solve_no_lp(monkeypatch):
+    # The planar interior certificate is the facet closed form
+    # min_f b_f / |n_f|_inf, and D reads the polar vertices of the same facets.
+    reuleaux = make_body(BodySpec("reuleaux_triangle", n=48))
+    facets = convex_core.facets_2d(reuleaux)
+    closed_form = float(np.min(facets.offsets / np.abs(facets.normals).max(axis=1)))
+    calls = []
+    solve = lp_solver.solve
+    monkeypatch.setattr(lp_solver, "solve", lambda lp, **kw: calls.append(1) or solve(lp, **kw))
+    slack = convex_core.interior_slack(reuleaux, np.zeros(2))
+    GaugeBody.from_polytope(reuleaux)
+    value = diameter(SQUARE, reuleaux).value
+    assert calls == []
+    assert slack == pytest.approx(closed_form, rel=1e-14)
+    assert value == pytest.approx(oracle_diameter(SQUARE, reuleaux), rel=1e-9)
+
+
 def test_recentred_gauge_is_certified_once(monkeypatch):
     # interior_point certifies the shift, so the shifted gauge body is not
-    # certified again: the origin, the centroid and (C-C)/2, one call each.
+    # certified again: the origin, the centroid and (C-C)/2, one slack each.
     calls = []
-    real = radii.interior_slack
+    real = convex_core._GaugeEvaluator.slack
 
-    def counted(p, point):
-        calls.append(point)
-        return real(p, point)
+    def counted(evaluate):
+        calls.append(evaluate)
+        return real(evaluate)
 
-    monkeypatch.setattr(radii, "interior_slack", counted)
-    monkeypatch.setattr(functionals, "interior_slack", counted)
+    monkeypatch.setattr(convex_core._GaugeEvaluator, "slack", counted)
     cube = make_body(BodySpec("cube", dim=3))
     simplex = make_body(BodySpec("simplex", dim=3))
     report = verify_chain(cube, VPolytope(simplex.vertices + 5.0), tol=1e-6)
@@ -813,6 +834,13 @@ def test_long_thin_gauges_certify(length):
         assert inradius(thin, unit).value == pytest.approx(1.0, rel=1e-7)
         assert circumradius(thin, unit).value == pytest.approx(length / half, rel=1e-7)
         assert inradius(unit, thin).value == pytest.approx(half / length, rel=1e-7)
+    # Nor does the minimum width, in 3-D and 4-D, with the long box as either body.
+    for dim in (3, 4):
+        cube = make_body(BodySpec("cube", dim=dim))
+        long_box = VPolytope(cube.vertices * np.r_[length, np.ones(dim - 1)])
+        assert min_width(long_box, cube).value == pytest.approx(2.0, rel=1e-7)
+        assert min_width(cube, long_box).value == pytest.approx(2.0 / length, rel=1e-7)
+        assert diameter(long_box, cube).value == pytest.approx(2.0 * length, rel=1e-7)
 
 
 @pytest.mark.parametrize("label", ["scale-1e-9", "offset-1e7"])

@@ -3,11 +3,14 @@
 Bodies are stored by their vertices (V-representation).  Vertex lists may
 contain redundant points: every functional downstream reads through a max or
 an LP, so redundancy is harmless and is only ever pruned by the 2D hull.
-Halfspace representations exist solely in the plane, where facet enumeration
-is exact and cheap.  Gauges are evaluated here as well, by one batched
-``_GaugeEvaluator`` per body (polar vertices in the plane, cached gauge LPs
-elsewhere), and the interior certificate ``interior_slack`` is its slack: in
-the plane the facet closed form min_f b_f / |n_f|_inf.
+That hull passes a polygon that is already its own hull through in one
+linear, vectorised check, and runs Andrew's monotone chain on anything
+else.  Halfspace representations exist solely in the plane, where facet
+enumeration is exact and cheap.  Gauges are evaluated here as well, by one
+batched ``_GaugeEvaluator`` per body (polar vertices of a planar body with
+the origin interior, cached gauge LPs otherwise), and the interior
+certificate ``interior_slack`` is its slack: in the plane the facet closed
+form min_f b_f / |n_f|_inf, or -1 when some offset b_f is not positive.
 """
 
 from __future__ import annotations
@@ -176,7 +179,12 @@ def hull_2d(points) -> VPolytope:
     """Counter-clockwise extreme points, starting at the lexicographic minimum.
 
     Collinear interior points are dropped (strictly convex turns only), which
-    makes the output canonical for golden comparisons.
+    makes the output canonical for golden comparisons.  Most planar inputs
+    are already such a hull (a body hulled before, the operands and merge
+    walk of a Minkowski sum), so one vectorised pass over the rows as given
+    comes first: when they are their own hull (``_hull_as_given``) they are
+    returned in linear time.  Any other input is sorted and hulled by the
+    monotone chain.  The output is the chain's in both cases, bit for bit.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < 1:
@@ -185,14 +193,58 @@ def hull_2d(points) -> VPolytope:
         raise DimensionMismatchError("hull_2d expects planar points")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    pts = np.unique(pts, axis=0)  # dedupes and sorts lexicographically
-    if pts.shape[0] <= 2:
-        return VPolytope(pts)
-
     # Relative to the points' extent, so the hull does not depend on where
     # the points sit or on their unit of length.
     extent = float(np.ptp(pts, axis=0).max())
     turn_tol = 1e-12 * extent * extent
+    hull = _hull_as_given(pts, turn_tol)
+    if hull is not None:
+        return VPolytope(hull)
+    pts = np.unique(pts, axis=0)  # dedupes and sorts lexicographically
+    if pts.shape[0] <= 2:
+        return VPolytope(pts)
+    return VPolytope(np.array(_monotone_chain(pts.tolist(), turn_tol)))
+
+
+def _hull_as_given(pts: np.ndarray, turn_tol: float) -> np.ndarray | None:
+    """The rows as the monotone chain would return them when they already
+    form its hull, else None.
+
+    Exact repeats of the previous row (cyclically) are dropped and the rows
+    rolled to start at the lexicographic minimum.  They are accepted when
+    they rise lexicographically in one run and then fall in one run, and
+    every cyclic turn (prev, cur, next), in the chain's own expression,
+    exceeds 1.01 turn_tol (a row equal to the next turns by exactly 0): a
+    strictly convex polygon traversed once, counter-clockwise.  Every test
+    the chain makes on such rows is either negative (a point of the other
+    side, popped) or, by convexity, at least the smaller of the turns at the
+    two ends of the edge it tests against.  A computed cross product is
+    within 1e-15 extent**2, a thousandth of turn_tol, of the exact one, so
+    the 1% margin keeps every such test above turn_tol: the chain keeps
+    exactly these rows.
+    """
+    bits = np.ascontiguousarray(pts).view(np.uint64)
+    rows = pts[(bits != np.concatenate((bits[-1:], bits[:-1]))).any(axis=1)]
+    if rows.shape[0] < 3:
+        return None
+    x, y = rows[:, 0], rows[:, 1]
+    lowest = np.flatnonzero(x == x.min())
+    start = int(lowest[np.argmin(y[lowest])])
+    rows = np.concatenate((rows[start:], rows[:start]))
+    # Each row with the row behind it and the row ahead, cyclically.
+    ring = np.concatenate((rows[-1:], rows, rows[:1]))
+    (bx, by), (x, y), (ax, ay) = ring[:-2].T, ring[1:-1].T, ring[2:].T
+    rising = (x < ax) | ((x == ax) & (y < ay))
+    turns = (x - bx) * (ay - by) - (y - by) * (ax - bx)
+    if (rising[1:] > rising[:-1]).any() or turns.min() <= 1.01 * turn_tol:
+        return None
+    return rows
+
+
+def _monotone_chain(rows: list[list[float]], turn_tol: float) -> list[list[float]]:
+    """Andrew's monotone chain on rows sorted lexicographically, at least
+    three and all distinct: the lower then the upper hull, each point kept
+    only where the turn into the next exceeds ``turn_tol``."""
 
     def chain(rows: list[list[float]]) -> list[list[float]]:
         # Python floats: the same IEEE arithmetic as numpy scalars, without
@@ -207,11 +259,7 @@ def hull_2d(points) -> VPolytope:
             out.append(p)
         return out
 
-    rows = pts.tolist()
-    lower = chain(rows)
-    upper = chain(rows[::-1])
-    hull = lower[:-1] + upper[:-1]
-    return VPolytope(np.array(hull))
+    return chain(rows)[:-1] + chain(rows[::-1])[:-1]
 
 
 def minkowski_hull_2d(p: VPolytope, q: VPolytope) -> VPolytope:
@@ -482,9 +530,17 @@ class _GaugeEvaluator:
     def slack(self) -> float:
         """1 / max_k gauge(±e_k): the largest rho with ±rho e_k in the body
         for every axis k, min_f b_f / |n_f|_inf in the plane.  -1 when the
-        origin is not interior: some ±e_k then leaves the cone, gauge inf."""
-        top = float(self(np.vstack([np.eye(self.dim), -np.eye(self.dim)])).max())
-        return 1.0 / top if np.isfinite(top) else -1.0
+        origin is not interior: a planar body then has a facet offset <= 0,
+        and elsewhere some ±e_k leaves the cone, gauge inf; the axes are
+        evaluated in turn up to the first such one."""
+        if self.dim == 2 and self.polar_vertices is None:
+            return -1.0
+        top = 0.0
+        for axis in np.vstack([np.eye(self.dim), -np.eye(self.dim)]):
+            top = max(top, float(self(axis)[0]))
+            if top == np.inf:
+                return -1.0
+        return 1.0 / top
 
     def pairwise_maxima(self, points: np.ndarray, symmetric: bool = False) -> np.ndarray:
         """For each row v_i of ``points``, max over rows v_j of gauge(v_j - v_i).

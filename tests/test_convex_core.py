@@ -201,15 +201,45 @@ def test_hull_order_is_ccw_from_lexicographic_minimum():
     assert area2 > 0  # counter-clockwise
 
 
-def test_hull_idempotent_and_permutation_invariant():
+def _hull_fuzz_inputs(rng):
+    """Random point sets, and the hulls of thin, rotated and near-collinear
+    arc point sets as given, reflected, shifted by 1e7, scaled by 2**30 or
+    2**-30, rolled to another start, and with repeated rows."""
+    for _ in range(40):
+        count = int(rng.integers(3, 40))
+        points = rng.normal(size=(count, 2))
+        yield points
+        angle = rng.uniform(0.0, np.pi)
+        rotation = np.array([[np.cos(angle), -np.sin(angle)],
+                             [np.sin(angle), np.cos(angle)]])
+        thin = points * [1.0, 10.0 ** -int(rng.integers(3, 10))] @ rotation.T
+        t = np.sort(rng.uniform(0.0, 10.0 ** -int(rng.integers(2, 7)), count))
+        arc = np.column_stack([np.cos(t), np.sin(t)])
+        for cloud in (points, thin, arc):
+            hull = hull_2d(cloud).vertices
+            repeats = rng.integers(1, 4, size=len(hull))
+            yield from (hull, -hull, hull + 1e7, hull * 2.0**30, hull * 2.0**-30,
+                        np.roll(hull, int(rng.integers(1, len(hull) + 1)), axis=0),
+                        np.roll(np.repeat(hull, repeats, axis=0), 1, axis=0))
+
+
+def test_hull_idempotent_and_permutation_invariant(monkeypatch):
+    # hull_2d(x) must equal, bit for bit, the monotone chain's hull of the
+    # shuffled rows, with the linear pass over rows already a hull turned
+    # off for the reference; that pass should take most inputs that are hulls.
     rng = np.random.default_rng(77)
-    for _ in range(20):
-        pts = rng.normal(size=(int(rng.integers(3, 30)), 2))
-        hull = hull_2d(pts)
-        again = hull_2d(hull.vertices)
-        assert np.array_equal(hull.vertices, again.vertices)
-        shuffled = pts[rng.permutation(len(pts))]
-        assert np.array_equal(hull_2d(shuffled).vertices, hull.vertices)
+    passed_through = 0
+    for x in _hull_fuzz_inputs(rng):
+        hull = hull_2d(x).vertices
+        assert np.array_equal(hull_2d(hull).vertices, hull)
+        shuffled = x[rng.permutation(len(x))]
+        with monkeypatch.context() as m:
+            m.setattr(core, "_hull_as_given", lambda pts, turn_tol: None)
+            reference = hull_2d(shuffled).vertices
+        assert np.array_equal(hull.view(np.uint64), reference.view(np.uint64))
+        extent = float(np.ptp(x, axis=0).max())
+        passed_through += core._hull_as_given(x, 1e-12 * extent * extent) is not None
+    assert passed_through >= 750  # of 880 inputs, 840 of them hulls
 
 
 def test_hull_rejects_empty_input():

@@ -598,6 +598,44 @@ def test_planar_gauge_certificate_and_diameter_solve_no_lp(monkeypatch):
     assert value == pytest.approx(oracle_diameter(SQUARE, reuleaux), rel=1e-9)
 
 
+def test_interior_slack_of_an_outside_origin_solves_at_most_one_lp(monkeypatch):
+    # Off the plane the axes are evaluated in turn and the first inf gauge
+    # settles -1; in the plane a facet offset <= 0 settles it with no LP.
+    cube = make_body(BodySpec("cube", dim=3))
+    triangle = VPolytope(TRIANGLE.vertices + np.array([-1e7, 1e7]))
+    calls = []
+    solve = lp_solver.solve
+
+    def counted(lp, **kw):
+        out = solve(lp, **kw)
+        calls.append(out.status)
+        return out
+
+    monkeypatch.setattr(lp_solver, "solve", counted)
+    assert convex_core.interior_slack(VPolytope(cube.vertices + 2.0), np.zeros(3)) == -1.0
+    assert calls == [lp_solver.INFEASIBLE]
+    calls.clear()
+    assert convex_core.interior_slack(triangle, np.zeros(2)) == -1.0
+    assert calls == []
+
+
+def test_verify_chain_on_reuleaux_runs_no_monotone_chain(monkeypatch):
+    # Every polygon verify_chain hulls on this pair is already a hull, so
+    # hull_2d passes each through without running the chain.
+    runs = []
+    chain = convex_core._monotone_chain
+
+    def counted(rows, turn_tol):
+        runs.append(len(rows))
+        return chain(rows, turn_tol)
+
+    monkeypatch.setattr(convex_core, "_monotone_chain", counted)
+    c = make_body(BodySpec("reuleaux_triangle", n=96))
+    k = transform(c, 1.0, [0.0, 0.0], reflect=True)
+    assert verify_chain(k, c).ok
+    assert runs == []
+
+
 def test_recentred_gauge_is_certified_once(monkeypatch):
     # interior_point certifies the shift, so the shifted gauge body is not
     # certified again: the origin, the centroid and (C-C)/2, one slack each.

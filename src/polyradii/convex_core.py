@@ -7,10 +7,10 @@ That hull passes a polygon that is already its own hull through in one
 linear, vectorised check, and runs Andrew's monotone chain on anything
 else.  Halfspace representations exist solely in the plane, where facet
 enumeration is exact and cheap.  Gauges are evaluated here as well, by one
-batched ``_GaugeEvaluator`` per body (polar vertices of a planar body with
-the origin interior, cached gauge LPs otherwise), and the interior
-certificate ``interior_slack`` is its slack: in the plane the facet closed
-form min_f b_f / |n_f|_inf, or -1 when some offset b_f is not positive.
+batched ``_GaugeEvaluator`` per body (a planar body's polar vertices when
+the origin is interior, else facet cones met by dual simplex walks), and
+the interior certificate ``interior_slack`` is its slack: in the plane the
+facet closed form min_f b_f / |n_f|_inf, or -1 if some offset b_f is <= 0.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ INTERIOR_MARGIN = 1e-9
 # up to this fraction of their total size.
 _CONE_TOL = 1e-12
 # Bases with a larger condition number are not cached: their points keep
-# taking LPs.
+# taking walks or LPs.
 _BASIS_COND = 1e6
+_WALK_PIVOTS = 50  # pivots a gauge walk takes before its point takes the LP
 
 
 class DimensionMismatchError(ValueError):
@@ -436,16 +437,16 @@ class _GaugeEvaluator:
 
     A planar body whose facet offsets b_f are all positive (the origin is
     interior) reads it off its polar vertices p_f = n_f / b_f in one
-    product.  Any other body solves gauge LPs and caches the facets they
-    meet: an optimal basis of d vertex columns B_f spans the cone over one
-    facet, on which the gauge is linear.  A later point x with weights
-    mu = B_f^-1 x >= 0 has gauge sum(mu), certified both ways: mu is a
-    feasible weight vector, and the basis dual y_f = B_f^-T 1, a polar
-    vertex by the LP's optimality, gives y_f.x = sum(mu).  Each batch is tested against every
-    cached cone at once, and only the points no cone holds take an LP.  The
-    cache lives as long as the evaluator.  The gauge is inf off the cone of
-    the vertices, where the LP is infeasible and caches nothing; nor does a
-    flat body's LP, whose basis keeps an artificial column.
+    product.  Any other body caches the facets it meets: an optimal basis
+    of d vertex columns B_f spans the cone over one facet, on which the
+    gauge is linear.  A later point x with weights mu = B_f^-1 x >= 0 has
+    gauge sum(mu), certified both ways: mu is a feasible weight vector, and
+    the basis dual y_f = B_f^-T 1, a polar vertex by optimality, gives
+    y_f.x = sum(mu).  Each batch is tested against every cached cone at
+    once; a point no cone holds walks from one (``_walk``), and the first
+    point, or one whose walk stops short, takes a gauge LP.  The gauge is
+    inf off the cone of the vertices; there nothing is cached, nor from a
+    flat body, whose LP basis keeps an artificial column.
     """
 
     def __init__(self, body: VPolytope):
@@ -463,6 +464,8 @@ class _GaugeEvaluator:
         # the polar vertex y_f of each facet in the body's coordinates.
         self.inverses = np.empty((0, body.dim))
         self.normals = np.empty((0, body.dim))
+        self.bases = np.empty((0, body.dim), dtype=int)
+        self.solved = self.walks = 0  # points answered by a gauge LP, by a walk
 
     def __call__(self, points) -> np.ndarray:
         return self.with_normals(points)[0]
@@ -471,8 +474,8 @@ class _GaugeEvaluator:
         """The gauge of each row and a polar vertex y attaining it.
 
         y.v <= 1 on every vertex v of the body and y.x = gauge(x): the planar
-        argmax p_f, the cached cone's B_f^-T 1, or the gauge LP's dual
-        normal.  Rows whose gauge is inf get a nan normal.
+        argmax p_f, the B_f^-T 1 of a cached cone or of a walk's last basis,
+        or the gauge LP's dual normal.  Rows whose gauge is inf get a nan normal.
         """
         points = np.atleast_2d(points)
         if self.polar_vertices is not None:
@@ -485,7 +488,12 @@ class _GaugeEvaluator:
         for i in np.flatnonzero(np.isnan(values)):
             if not np.isnan(values[i]):
                 continue  # held by a facet cached after the first lookup
-            values[i], normal, basis = self.lp(points[i])
+            answer = self._walk(points[i])
+            self.walks += answer is not None
+            if answer is None:
+                self.solved += 1
+                answer = self.lp(points[i])
+            values[i], normal, basis = answer
             if normal is not None:
                 normals[i] = normal
             inverse = self._facet_inverse(basis)
@@ -493,6 +501,7 @@ class _GaugeEvaluator:
                 start = self.normals.shape[0]
                 self.inverses = np.vstack([self.inverses, inverse])
                 self.normals = np.vstack([self.normals, inverse.sum(axis=0) * self.lp.scale])
+                self.bases = np.vstack([self.bases, basis])
                 rest = np.flatnonzero(np.isnan(values))
                 values[rest], facet[rest] = self._lookup(points[rest], start)
         held = facet >= 0
@@ -516,6 +525,37 @@ class _GaugeEvaluator:
         values[hit] = np.maximum(weights[hit, first].sum(axis=1), 0.0)
         index[hit] = start + first
         return values, index
+
+    def _walk(self, x: np.ndarray) -> tuple | None:
+        """The gauge LP's answer for x by a dual simplex walk (Lemke 1954)
+        from the cached facet with the largest y_f.x.  Each basis B keeps
+        1 - a_j.y >= 0 at y = B^-T 1; the most negative weight of B^-1 x
+        leaves, and the ratio test on those reduced costs over its row of
+        B^-1 A picks the column that enters.  A row with no negative entry
+        proves x off the cone.  None, and x takes the LP, with no facet
+        cached, at a singular basis, after _WALK_PIVOTS pivots, or where
+        rounding has broken the optimality certificate."""
+        if not self.bases.size:
+            return None
+        f = int(np.argmax(self.normals @ x))
+        basis, inverse = self.bases[f].copy(), self.inverses[f * self.dim:(f + 1) * self.dim]
+        for _ in range(_WALK_PIVOTS):
+            weights, tableau = inverse @ (x * self.lp.scale), inverse @ self.lp.lhs
+            reduced, leave = 1.0 - tableau.sum(axis=0), int(np.argmin(weights))
+            if weights[leave] >= -_CONE_TOL * np.abs(weights).sum():
+                if reduced.min() < -lp_solver.PIVOT_TOL:
+                    return None
+                return max(0.0, weights.sum()), inverse.sum(axis=0) * self.lp.scale, basis
+            enter = np.flatnonzero(tableau[leave] < -lp_solver.PIVOT_TOL)
+            if not enter.size:
+                return np.inf, None, None
+            ratios = np.maximum(reduced[enter], 0.0) / -tableau[leave, enter]
+            basis[leave] = enter[np.argmin(ratios)]
+            try:
+                inverse = np.linalg.inv(self.lp.lhs[:, basis])
+            except np.linalg.LinAlgError:
+                return None
+        return None
 
     def _facet_inverse(self, basis: np.ndarray | None) -> np.ndarray | None:
         """B_f^-1 of an optimal basis of d well-conditioned vertex columns,

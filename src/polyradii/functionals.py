@@ -2,8 +2,8 @@
 
 All functionals are exact on V-polytopes: supports are vertex maxima, and
 gauges come from convex_core's ``_GaugeEvaluator``, which reads them off the
-polar vertices in the plane and off the facet cones its gauge LPs have met
-elsewhere, and can return the polar vertex attaining each value (the
+polar vertices in the plane and off the facet cones its gauge LP and walks
+have met elsewhere, and can return the polar vertex attaining each value (the
 containment engine's cuts).  A GaugeBody keeps the evaluator that certified
 its origin, so every later gauge of it reuses those cones.  Radius and chord
 lengths are reciprocal gauges.  A gauge is always evaluated on the body

@@ -363,7 +363,7 @@ def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
     d = k.dim
 
     if d == 2:
-        if facets_2d(b).lower_dimensional:
+        if len(b) <= 2:  # b is a planar hull
             raise ValueError("diameter/width need a full-dimensional gauge body")
         value, direction = _facet_width_2d(a, b)
         return RadiiResult("omega", value, direction=direction)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polyradii import lp_solver
+from polyradii import convex_core, lp_solver
 from polyradii.bodies import BodySpec, make_body
 from polyradii.convex_core import VPolytope, _GaugeEvaluator, _GaugeLP, difference_hull, member
 from polyradii.functionals import (
@@ -241,9 +241,62 @@ def test_cached_gauge_matches_one_lp_per_point(monkeypatch, dim):
         if evaluate.polar_vertices is not None:
             # A planar body with the origin interior: its facets, no LP.
             assert solved == 0 and np.isfinite(values).all()
-        elif np.isfinite(values).all():
-            assert 0 < evaluate.inverses.shape[0] // dim <= solved < points.shape[0] // 2
+        else:
+            # Each cached facet came from an LP or a walk, most points take
+            # neither, and a full-dimensional body's walks answer some.
+            assert evaluate.solved == solved < points.shape[0] // 2
+            assert evaluate.inverses.shape[0] // dim <= evaluate.solved + evaluate.walks
+            assert evaluate.walks > 0
     assert np.isinf(_GaugeEvaluator(bodies[1])(-np.eye(dim))).all()
+
+
+def test_walk_off_the_cone_answers_inf_like_the_lp(monkeypatch):
+    shifted = VPolytope(make_body(BodySpec("cube", dim=3)).vertices + 2.0)
+    points = _probe_points(np.random.default_rng(7), shifted.vertices)
+    walked = []
+    walk = _GaugeEvaluator._walk
+
+    def recorded(evaluate, x):
+        walked.append((x, walk(evaluate, x)))
+        return walked[-1][1]
+
+    monkeypatch.setattr(_GaugeEvaluator, "_walk", recorded)
+    values, normals = _GaugeEvaluator(shifted).with_normals(points)
+    lp = _GaugeLP(shifted.vertices)
+    off = [(x, answer) for x, answer in walked if answer is not None and answer[0] == np.inf]
+    assert len(off) > points.shape[0] // 2
+    for x, answer in off:
+        assert answer[1] is None and answer[2] is None
+        assert lp(x) == (np.inf, None, None)
+    direct = np.array([lp(p)[0] for p in points])
+    assert (np.isinf(values) == np.isinf(direct)).all()
+    assert np.isnan(normals[np.isinf(values)]).all()
+    assert not np.isnan(normals[np.isfinite(values)]).any()
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_walk_free_path_gives_the_same_gauges(monkeypatch, dim):
+    # With the pivot cap at 0 every point no cached cone holds takes an LP,
+    # as before the walk; both paths return certified polar vertices.
+    rng = np.random.default_rng(10 + dim)
+    p = random_polytope(rng, dim)
+    for body in (difference_hull(p), p):
+        points = _probe_points(rng, body.vertices)
+        walking = _GaugeEvaluator(body)
+        values, normals = walking.with_normals(points)
+        with monkeypatch.context() as m:
+            m.setattr(convex_core, "_WALK_PIVOTS", 0)
+            plain = _GaugeEvaluator(body)
+            plain_values, plain_normals = plain.with_normals(points)
+        assert walking.walks > 0 and plain.walks == 0
+        assert walking.solved < plain.solved
+        assert (np.isinf(values) == np.isinf(plain_values)).all()
+        finite = np.isfinite(values)
+        np.testing.assert_allclose(values[finite], plain_values[finite], rtol=1e-12, atol=0.0)
+        for y in (normals[finite], plain_normals[finite]):
+            np.testing.assert_allclose(np.einsum("ij,ij->i", y, points[finite]),
+                                       values[finite], rtol=1e-12, atol=1e-12)
+            assert (body.vertices @ y.T).max() <= 1.0 + 1e-12
 
 
 def test_flat_body_keeps_one_lp_per_point_and_inf_off_its_cone(monkeypatch):

@@ -413,12 +413,22 @@ def test_min_width_in_three_dimensions():
 
 
 def test_min_width_rejects_degenerate_gauge():
-    seg = VPolytope([[0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(ValueError):
-        min_width(SQUARE, seg)
+    for flat in ([[0.0, 0.0], [1.0, 0.0]], [[2.0, 3.0]], [[0.0, 0.0], [2.0, 2.0], [0.5, 0.5]]):
+        with pytest.raises(ValueError, match="full-dimensional gauge body"):
+            min_width(SQUARE, VPolytope(flat))
     seg3 = VPolytope([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
         min_width(make_body(BodySpec("cube", dim=3)), seg3)
+
+
+def test_planar_min_width_enumerates_only_the_facets_of_k_minus_k(monkeypatch):
+    # C - C is a hull already, so its vertex count settles flatness.
+    seen = []
+    facets_2d = radii.facets_2d
+    monkeypatch.setattr(radii, "facets_2d", lambda p: seen.append(len(p)) or facets_2d(p))
+    assert min_width(SQUARE, TRIANGLE).value == pytest.approx(
+        oracle_min_width(SQUARE, TRIANGLE), rel=1e-9)
+    assert seen == [len(difference_hull(SQUARE))]
 
 
 # ---------------------------------------------------------------------------
@@ -849,6 +859,23 @@ def test_spatial_chain_reads_gauges_from_cached_facets(monkeypatch):
     assert report.a2 == pytest.approx(4.963177852165099, rel=1e-9)
     assert report.a5 == pytest.approx(6.223615064598571, rel=1e-9)
     assert len(calls) < 775 // 2
+
+
+def test_spatial_chain_walks_between_facets_instead_of_solving_lps(monkeypatch):
+    # One LP per facet cone took 1 821 LPs for this chain; walks from the
+    # cached facets leave the first point of each gauge body and the
+    # containment masters.
+    rng = np.random.default_rng(3)
+    k = VPolytope(rng.normal(size=(30, 4)))
+    c = rng.normal(size=(30, 4))
+    calls = []
+    solve = lp_solver.solve
+    monkeypatch.setattr(lp_solver, "solve", lambda lp, **kw: calls.append(1) or solve(lp, **kw))
+    report = verify_chain(k, VPolytope(c - c.mean(axis=0)))
+    assert report.ok
+    assert report.a2 == pytest.approx(3.659835911862138, rel=1e-12)
+    assert report.a5 == pytest.approx(5.269282506851236, rel=1e-12)
+    assert len(calls) <= 20
 
 
 @pytest.mark.parametrize("length", [1e9, 4e9])

@@ -8,9 +8,11 @@ linear, vectorised check, and runs Andrew's monotone chain on anything
 else.  Halfspace representations exist solely in the plane, where facet
 enumeration is exact and cheap.  Gauges are evaluated here as well, by one
 batched ``_GaugeEvaluator`` per body (a planar body's polar vertices when
-the origin is interior, else facet cones met by dual simplex walks), and
-the interior certificate ``interior_slack`` is its slack: in the plane the
-facet closed form min_f b_f / |n_f|_inf, or -1 if some offset b_f is <= 0.
+the origin is interior, else facet cones met by dual simplex walks, which
+the points of a call that no cached cone holds take together, in waves),
+and the interior certificate ``interior_slack`` is its slack: in the plane
+the facet closed form min_f b_f / |n_f|_inf, or -1 if some offset b_f is
+<= 0.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ _CONE_TOL = 1e-12
 # taking walks or LPs.
 _BASIS_COND = 1e6
 _WALK_PIVOTS = 50  # pivots a gauge walk takes before its point takes the LP
+# Cells of the two (lanes, vertex columns) products a wave of walks forms
+# per pivot, which bound its lanes: 0.5 MB of float64.
+_WAVE_CELLS = 2 ** 16
 
 
 class DimensionMismatchError(ValueError):
@@ -443,14 +448,15 @@ class _GaugeEvaluator:
     gauge sum(mu), certified both ways: mu is a feasible weight vector, and
     the basis dual y_f = B_f^-T 1, a polar vertex by optimality, gives
     y_f.x = sum(mu).  Each batch is tested against every cached cone at
-    once; a point no cone holds walks from one (``_walk``), and the first
-    point, or one whose walk stops short, takes a gauge LP.  The gauge is
-    inf off the cone of the vertices; there nothing is cached, nor from a
-    flat body, whose LP basis keeps an artificial column.
+    once; the points no cone holds walk from the cached facets together,
+    in waves (``_walk``), and the first point, or one whose walk stops
+    short, takes a gauge LP.  The gauge is inf off the cone of the
+    vertices; there nothing is cached, nor from a flat body, whose LP basis
+    keeps an artificial column.
     """
 
     def __init__(self, body: VPolytope):
-        self.dim = body.dim
+        self.body, self.dim = body, body.dim
         self.facets = None
         self.polar_vertices = None
         if body.dim == 2:
@@ -460,12 +466,15 @@ class _GaugeEvaluator:
                 self.polar_vertices = (f.normals / f.offsets[:, None]).T
                 return
         self.lp = _GaugeLP(body.vertices)
+        self.columns = self.lp.lhs.T  # the scaled vertices, one row per LP column
         # Inverse bases of the cached facets, stacked as (facets * d, d), and
         # the polar vertex y_f of each facet in the body's coordinates.
         self.inverses = np.empty((0, body.dim))
         self.normals = np.empty((0, body.dim))
         self.bases = np.empty((0, body.dim), dtype=int)
-        self.solved = self.walks = 0  # points answered by a gauge LP, by a walk
+        # Points answered by a gauge LP and by a walk, and the waves of
+        # uncovered points (calls of _walk).
+        self.solved = self.walks = self.waves = 0
 
     def __call__(self, points) -> np.ndarray:
         return self.with_normals(points)[0]
@@ -475,7 +484,11 @@ class _GaugeEvaluator:
 
         y.v <= 1 on every vertex v of the body and y.x = gauge(x): the planar
         argmax p_f, the B_f^-T 1 of a cached cone or of a walk's last basis,
-        or the gauge LP's dual normal.  Rows whose gauge is inf get a nan normal.
+        or the gauge LP's dual normal.  Rows whose gauge is inf get a nan
+        normal.  Rows that no cached cone holds walk in waves of as many
+        lanes as keep a pivot's two (lanes, n) products over the n vertex
+        columns within ``_WAVE_CELLS``; after each wave its new facets are
+        cached and the rows still waiting are looked up against them.
         """
         points = np.atleast_2d(points)
         if self.polar_vertices is not None:
@@ -485,25 +498,26 @@ class _GaugeEvaluator:
             return np.maximum(values, 0.0), self.polar_vertices[:, best].T
         values, facet = self._lookup(points, 0)
         normals = np.full(points.shape, np.nan)
-        for i in np.flatnonzero(np.isnan(values)):
-            if not np.isnan(values[i]):
-                continue  # held by a facet cached after the first lookup
-            answer = self._walk(points[i])
-            self.walks += answer is not None
-            if answer is None:
-                self.solved += 1
-                answer = self.lp(points[i])
-            values[i], normal, basis = answer
-            if normal is not None:
-                normals[i] = normal
-            inverse = self._facet_inverse(basis)
-            if inverse is not None:
-                start = self.normals.shape[0]
-                self.inverses = np.vstack([self.inverses, inverse])
-                self.normals = np.vstack([self.normals, inverse.sum(axis=0) * self.lp.scale])
-                self.bases = np.vstack([self.bases, basis])
-                rest = np.flatnonzero(np.isnan(values))
-                values[rest], facet[rest] = self._lookup(points[rest], start)
+        waiting = np.flatnonzero(np.isnan(values))
+        lanes = max(1, _WAVE_CELLS // (2 * self.columns.shape[0]))
+        while waiting.size:
+            start = self.normals.shape[0]
+            size = lanes if start else 1  # a body's first point takes the LP alone
+            wave, waiting = waiting[:size], waiting[size:]
+            self.waves += 1
+            values[wave], normals[wave], bases, inverses = self._walk(points[wave])
+            unwalked = np.flatnonzero(np.isnan(values[wave]))
+            self.walks += wave.size - unwalked.size
+            self.solved += unwalked.size
+            for j in unwalked:
+                values[wave[j]], normal, basis = self.lp(points[wave[j]])
+                if basis is not None:
+                    normals[wave[j]], bases[j], inverses[j] = normal, basis, np.nan
+            finite = np.isfinite(values[wave])
+            self._cache(bases[finite], inverses[finite])
+            if self.normals.shape[0] > start and waiting.size:
+                values[waiting], facet[waiting] = self._lookup(points[waiting], start)
+                waiting = waiting[np.isnan(values[waiting])]
         held = facet >= 0
         normals[held] = self.normals[facet[held]]
         return values, normals
@@ -526,61 +540,103 @@ class _GaugeEvaluator:
         index[hit] = start + first
         return values, index
 
-    def _walk(self, x: np.ndarray) -> tuple | None:
-        """The gauge LP's answer for x by a dual simplex walk (Lemke 1954)
-        from the cached facet with the largest y_f.x.  Each basis B keeps
-        1 - a_j.y >= 0 at y = B^-T 1; the most negative weight of B^-1 x
-        leaves, and the ratio test on those reduced costs over its row of
-        B^-1 A picks the column that enters.  A row with no negative entry
-        proves x off the cone.  None, and x takes the LP, with no facet
-        cached, at a singular basis, after _WALK_PIVOTS pivots, or where
-        rounding has broken the optimality certificate."""
-        if not self.bases.size:
-            return None
-        f = int(np.argmax(self.normals @ x))
-        basis, inverse = self.bases[f].copy(), self.inverses[f * self.dim:(f + 1) * self.dim]
-        for _ in range(_WALK_PIVOTS):
-            weights, tableau = inverse @ (x * self.lp.scale), inverse @ self.lp.lhs
-            reduced, leave = 1.0 - tableau.sum(axis=0), int(np.argmin(weights))
-            if weights[leave] >= -_CONE_TOL * np.abs(weights).sum():
-                if reduced.min() < -lp_solver.PIVOT_TOL:
-                    return None
-                return max(0.0, weights.sum()), inverse.sum(axis=0) * self.lp.scale, basis
-            enter = np.flatnonzero(tableau[leave] < -lp_solver.PIVOT_TOL)
-            if not enter.size:
-                return np.inf, None, None
-            ratios = np.maximum(reduced[enter], 0.0) / -tableau[leave, enter]
-            basis[leave] = enter[np.argmin(ratios)]
-            try:
-                inverse = np.linalg.inv(self.lp.lhs[:, basis])
-            except np.linalg.LinAlgError:
-                return None
-        return None
+    def _walk(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                 np.ndarray, np.ndarray]:
+        """The gauge LP's answers for a wave of rows by one batched dual
+        simplex (Lemke 1954), each row started at the cached facet with the
+        largest y_f.x.  Each basis B keeps 1 - a_j.y >= 0 at y = B^-T 1; at
+        every pivot, for all rows together, the most negative weight of
+        B^-1 x leaves, the ratio test on those reduced costs over its row
+        of B^-1 A picks the column that enters, and the new bases are
+        inverted as one stack.  A row stops certified optimal (weights and
+        reduced costs non-negative), or with inf when its leaving row has
+        no negative entry (x is off the cone), or with nan, to take the LP,
+        where rounding has broken the certificate, at a singular basis, or
+        uncertified after _WALK_PIVOTS pivots; every row gets nan when no
+        facet is cached or _WALK_PIVOTS is 0.  A stopped row keeps its
+        basis, so the rows are classified once, after the last pivot.
 
-    def _facet_inverse(self, basis: np.ndarray | None) -> np.ndarray | None:
-        """B_f^-1 of an optimal basis of d well-conditioned vertex columns,
-        else None."""
-        if basis is None or (basis >= self.lp.lhs.shape[1]).any():
-            return None  # inf, or an artificial column parked on a flat body
-        columns = self.lp.lhs[:, basis]
-        if np.linalg.cond(columns) > _BASIS_COND:
-            return None
-        return np.linalg.inv(columns)
+        Returns the values, the normals B^-T 1 (nan where there is none),
+        and each row's last basis with its inverse, the ones to cache where
+        the value is finite.
+        """
+        count, d = points.shape
+        values = np.full(count, np.nan)
+        normals = np.full((count, d), np.nan)
+        if not self.bases.size or not _WALK_PIVOTS:
+            return values, normals, np.zeros((count, d), dtype=int), np.full((count, d, d), np.nan)
+        start = (points @ self.normals.T).argmax(axis=1)
+        basis, inverse = self.bases[start], self.inverses.reshape(-1, d, d)[start]
+        x, rows = points * self.lp.scale, np.arange(count)
+        stuck = np.zeros(count, dtype=bool)  # handed to the LP mid-walk
+        for pivots in range(_WALK_PIVOTS + 1):
+            weights = np.einsum("aij,aj->ai", inverse, x)
+            leave = weights.argmin(axis=1)
+            y = inverse.sum(axis=1)
+            products = np.concatenate([y, inverse[rows, leave]]) @ self.lp.lhs
+            reduced, pivot_row = 1.0 - products[:count], products[count:]
+            optimal = weights[rows, leave] >= -_CONE_TOL * np.abs(weights).sum(axis=1)
+            entering = pivot_row < -lp_solver.PIVOT_TOL
+            walk = np.flatnonzero(~optimal & entering.any(axis=1) & ~stuck)
+            if not walk.size or pivots == _WALK_PIVOTS:
+                stuck[walk] = True  # still walking after _WALK_PIVOTS pivots
+                break
+            ratios = np.full((walk.size, pivot_row.shape[1]), np.inf)
+            np.divide(np.maximum(reduced[walk], 0.0), -pivot_row[walk], out=ratios,
+                      where=entering[walk])
+            basis[walk, leave[walk]] = ratios.argmin(axis=1)
+            try:
+                inverse[walk] = np.linalg.inv(self.columns[basis[walk]].transpose(0, 2, 1))
+            except np.linalg.LinAlgError:
+                for i in walk:
+                    try:
+                        inverse[i] = np.linalg.inv(self.columns[basis[i]].T)
+                    except np.linalg.LinAlgError:
+                        stuck[i] = True
+        done = optimal & (reduced.min(axis=1) >= -lp_solver.PIVOT_TOL) & ~stuck
+        values[done] = np.maximum(weights[done].sum(axis=1), 0.0)
+        normals[done] = y[done] * self.lp.scale
+        values[~optimal & ~stuck] = np.inf
+        return values, normals, basis, inverse
+
+    def _cache(self, bases: np.ndarray, inverses: np.ndarray) -> None:
+        """Cache the distinct facets among optimal ``bases`` whose d columns
+        are vertex columns with a condition number within _BASIS_COND, with
+        their inverses; nan inverses (an LP's basis) are computed here."""
+        real = (bases < self.columns.shape[0]).all(axis=1)
+        bases, inverses = bases[real], inverses[real]
+        if bases.shape[0] > 1:  # one facet per set of columns, in any order
+            key = np.sort(bases, axis=1)
+            order = np.lexsort(key.T)
+            key = key[order]
+            first = order[np.concatenate([[True], (key[1:] != key[:-1]).any(axis=1)])]
+            bases, inverses = bases[first], inverses[first]
+        if not bases.size:
+            return
+        columns = self.columns[bases].transpose(0, 2, 1)
+        sound = np.linalg.cond(columns) <= _BASIS_COND
+        bases, inverses, columns = bases[sound], inverses[sound], columns[sound]
+        missing = np.isnan(inverses[:, 0, 0])
+        if missing.any():
+            inverses[missing] = np.linalg.inv(columns[missing])
+        self.bases = np.concatenate([self.bases, bases])
+        self.inverses = np.concatenate([self.inverses, inverses.reshape(-1, self.dim)])
+        self.normals = np.concatenate([self.normals, inverses.sum(axis=1) * self.lp.scale])
 
     def slack(self) -> float:
         """1 / max_k gauge(±e_k): the largest rho with ±rho e_k in the body
         for every axis k, min_f b_f / |n_f|_inf in the plane.  -1 when the
         origin is not interior: a planar body then has a facet offset <= 0,
-        and elsewhere some ±e_k leaves the cone, gauge inf; the axes are
-        evaluated in turn up to the first such one."""
+        and elsewhere some ±e_k leaves the cone, gauge inf.  The first axis
+        is evaluated alone, so an origin off the cone of the vertices costs
+        one LP; the other 2d - 1 axes are one batch."""
         if self.dim == 2 and self.polar_vertices is None:
             return -1.0
-        top = 0.0
-        for axis in np.vstack([np.eye(self.dim), -np.eye(self.dim)]):
-            top = max(top, float(self(axis)[0]))
-            if top == np.inf:
-                return -1.0
-        return 1.0 / top
+        axes = np.vstack([np.eye(self.dim), -np.eye(self.dim)])
+        top = float(self(axes[0])[0])
+        if top < np.inf:
+            top = max(top, float(self(axes[1:]).max()))
+        return -1.0 if top == np.inf else 1.0 / top
 
     def pairwise_maxima(self, points: np.ndarray, symmetric: bool = False) -> np.ndarray:
         """For each row v_i of ``points``, max over rows v_j of gauge(v_j - v_i).

@@ -44,7 +44,6 @@ from .convex_core import (
     _power_of_two_scale,
     difference_hull,
     facets_2d,
-    interior_slack,
 )
 from .functionals import (
     FunctionalValue,
@@ -156,38 +155,77 @@ def inradius(k: VPolytope, c: VPolytope) -> RadiiResult:
     return _containment("inradius", k, c)
 
 
-def _containment(program: str, k: VPolytope, c: VPolytope) -> RadiiResult:
+@dataclass(frozen=True, eq=False)
+class _Frame:
+    """The outer body of the containment engine in the engine's coordinates.
+
+    Its vertices are translated by -``shift``, their centroid, and restricted
+    to their affine hull, flat up to rounding of its own size as in hull_2d:
+    the columns of ``hull`` are its axes (the identity, which is exact, when
+    it is all of space), and each axis is scaled by the power of two in
+    ``scales``.  ``extent`` is the largest entry of the translated vertices,
+    and ``evaluate`` the gauge evaluator of the framed vertices, None when
+    the hull is a point.
+    """
+
+    shift: np.ndarray
+    hull: np.ndarray
+    scales: np.ndarray
+    extent: float
+    vertices: np.ndarray
+    evaluate: _GaugeEvaluator | None
+
+
+def _frame(outer: VPolytope, known: _GaugeEvaluator | None = None) -> _Frame:
+    """The containment frame of the outer body ``outer``; it takes the
+    evaluator ``known`` when that was built on exactly its framed vertices
+    (a gauge body recentred at its centroid, say), so their facet cones are
+    shared."""
+    shift = outer.vertices.mean(axis=0)
+    centred = outer.vertices - shift
+    rank, vt = _flat_rank(centred)
+    hull = np.eye(outer.dim) if rank == outer.dim else vt[:rank].T
+    scales = _column_scales(centred @ hull)
+    vertices = centred @ hull * scales
+    if known is None or not np.array_equal(known.body.vertices, vertices):
+        known = _GaugeEvaluator(VPolytope(vertices)) if rank else None
+    return _Frame(shift, hull, scales, float(np.abs(centred).max()), vertices, known)
+
+
+def _containment(program: str, k: VPolytope, c: VPolytope,
+                 frame: _Frame | None = None) -> RadiiResult:
     """R (``program`` "circumradius") or r ("inradius") by facet generation.
 
-    K and C are translated to their vertex centroids, and the outer body (C
-    for R, K for r) is restricted to its affine hull, flat up to rounding of
-    its own size as in hull_2d: an inner body that leaves it has no finite R,
-    and r = 0.  The hull axes are scaled by powers of two to the outer body's
-    extent along them, and the inner body by one more, so lambda is near 1
-    for long thin bodies too; the radius does not see these maps.
+    The outer body (C for R, K for r) is put in its ``_frame``, which the
+    caller may pass when it has one, and the inner body is translated to
+    its vertex centroid: an inner body that leaves the outer body's affine
+    hull has no finite R, and r = 0.  The inner body is scaled like the
+    outer one, and by one more power of two, so lambda is near 1 for long
+    thin bodies too; the radius does not see these maps.
     """
     circum = program == "circumradius"
     if not circum and not np.ptp(c.vertices, axis=0).any():
         raise ValueError("inradius is unbounded: the gauge body is a single point")
-    k_shift, c_shift = k.vertices.mean(axis=0), c.vertices.mean(axis=0)
-    kv, cv = k.vertices - k_shift, c.vertices - c_shift
-    inner, outer = (kv, cv) if circum else (cv, kv)
-    rank, vt = _flat_rank(outer)
-    # Coordinates in the hull: the identity, which is exact, when it is all of space.
-    hull = np.eye(k.dim) if rank == k.dim else vt[:rank].T
-    size = max(np.abs(outer).max(), np.abs(inner).max())
+    if frame is None:
+        frame = _frame(c if circum else k)
+    inner = (k if circum else c).vertices
+    inner_shift = inner.mean(axis=0)
+    inner = inner - inner_shift
+    k_shift, c_shift = (inner_shift, frame.shift) if circum else (frame.shift, inner_shift)
+    hull = frame.hull
+    size = max(frame.extent, np.abs(inner).max())
     if np.abs(inner - inner @ hull @ hull.T).max() > 1e-12 * size:
         if circum:
             raise RuntimeError("circumradius is unbounded: no multiple of the flat "
                                "gauge body covers the body")
         return RadiiResult("r", 0.0, center=k_shift)
-    scales = _column_scales(outer @ hull)
-    inner, outer = inner @ hull * scales, outer @ hull * scales
+    inner = inner @ hull * frame.scales
     # R(aK, C) = a R(K, C) with centre a x; r(K, aC) = r(K, C) / a, same centre.
     a = _power_of_two_scale(float(np.abs(inner).max(initial=0.0)))
-    lam, x = _facet_generation(program, a * inner, outer) if rank else (0.0, np.zeros(0))
+    lam, x = (_facet_generation(program, a * inner, frame.vertices, frame.evaluate)
+              if hull.shape[1] else (0.0, np.zeros(0)))
     lam, x = (lam / a, x / a) if circum else (lam * a, x)
-    center = k_shift + hull @ (x / scales) - lam * c_shift
+    center = k_shift + hull @ (x / frame.scales) - lam * c_shift
     return RadiiResult("R" if circum else "r", lam, center=center)
 
 
@@ -197,8 +235,8 @@ def _flat_rank(points: np.ndarray) -> tuple[int, np.ndarray]:
     return int(np.count_nonzero(singular > 1e-12 * np.abs(points).max())), vt
 
 
-def _facet_generation(program: str, inner: np.ndarray,
-                      outer: np.ndarray) -> tuple[float, np.ndarray]:
+def _facet_generation(program: str, inner: np.ndarray, outer: np.ndarray,
+                      evaluate: _GaugeEvaluator) -> tuple[float, np.ndarray]:
     """Kelley's cutting planes on the support-function containment program.
 
     The outer body is full-dimensional with the origin interior.  Every
@@ -218,7 +256,6 @@ def _facet_generation(program: str, inner: np.ndarray,
     circum = program == "circumradius"
     d = outer.shape[1]
     inner_body, outer_body = VPolytope(inner), VPolytope(outer)
-    evaluate = _GaugeEvaluator(outer_body)
     if evaluate.facets is not None:
         normals, offsets = evaluate.facets.normals, evaluate.facets.offsets
     elif circum:
@@ -436,13 +473,20 @@ def interior_point(p: VPolytope) -> np.ndarray:
     point certifies, i.e. the hull has empty interior at working precision;
     the engine gives r = 0 for flat bodies.
     """
+    return _interior_gauge_at(p)[0]
+
+
+def _interior_gauge_at(p: VPolytope) -> tuple[np.ndarray, GaugeBody]:
+    """``interior_point(p)`` and p translated by it as a gauge body, which
+    keeps the evaluator whose slack certified the centroid."""
     centroid = p.vertices.mean(axis=0)
     margin = _interior_margin(p)
-    if interior_slack(p, centroid) > margin:
-        return centroid
+    evaluate = _GaugeEvaluator(VPolytope(p.vertices - centroid))
+    if evaluate.slack() > margin:
+        return centroid, GaugeBody._certified(evaluate)
     fit = inradius(p, VPolytope(np.vstack([np.eye(p.dim), -np.eye(p.dim)])))
     if fit.value > margin:
-        return fit.center
+        return fit.center, GaugeBody(VPolytope(p.vertices - fit.center), np.zeros(p.dim))
     raise LowerDimensionalError("polytope has empty interior")
 
 
@@ -452,8 +496,8 @@ def _interior_gauge(c: VPolytope) -> tuple[GaugeBody, np.ndarray]:
     try:
         return GaugeBody.from_polytope(c), np.zeros(c.dim)
     except GaugeError:
-        shift = interior_point(c)
-        return GaugeBody(VPolytope(c.vertices - shift), np.zeros(c.dim)), shift
+        shift, gauge_body = _interior_gauge_at(c)
+        return gauge_body, shift
 
 
 def _unit_rows(vertices: np.ndarray) -> np.ndarray:
@@ -484,8 +528,11 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     directions = _unit_rows(b.vertices)
     sweep = directions if y_star is None else np.vstack([y_star, directions])
     a1 = 2.0 * float(np.max(support_values(a, sweep) / support_values(b, sweep)))
-    a3 = circumradius(a, half.body).value
-    a4 = circumradius(a, c).value
+    # a4 and 2R share C's frame, which takes the evaluator of C's gauge body
+    # when that is C recentred at its centroid; a3's frame takes half's.
+    a3 = _containment("circumradius", a, half.body, _frame(half.body, half._evaluate)).value
+    frame_c = _frame(c, gauge_c._evaluate)
+    a4 = _containment("circumradius", a, c, frame_c).value
     a5 = float(gauge_c._evaluate.pairwise_maxima(k.vertices).max())
 
     # Chord-ratio representation of the diameter (convex bodies).
@@ -500,7 +547,7 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     keep = np.isfinite(gamma_a) & (gamma_b < 1e12)
     chord_value = 2.0 * float(np.max(gamma_b[keep] / gamma_a[keep])) if keep.any() else 0.0
 
-    two_r = 2.0 * circumradius(k, c).value
+    two_r = 2.0 * _containment("circumradius", k, c, frame_c).value
     # C = -C exactly when the origin is interior and C holds -v for each vertex v.
     centered = bool(not shift.any()
                     and gauge_c._evaluate(-c.vertices).max() <= 1.0 + _CENTERED_TOL)

@@ -256,17 +256,18 @@ def test_walk_off_the_cone_answers_inf_like_the_lp(monkeypatch):
     walked = []
     walk = _GaugeEvaluator._walk
 
-    def recorded(evaluate, x):
-        walked.append((x, walk(evaluate, x)))
-        return walked[-1][1]
+    def recorded(evaluate, wave):
+        answer = walk(evaluate, wave)
+        walked.extend(zip(wave, *answer[:2]))
+        return answer
 
     monkeypatch.setattr(_GaugeEvaluator, "_walk", recorded)
     values, normals = _GaugeEvaluator(shifted).with_normals(points)
     lp = _GaugeLP(shifted.vertices)
-    off = [(x, answer) for x, answer in walked if answer is not None and answer[0] == np.inf]
+    off = [(x, normal) for x, value, normal in walked if value == np.inf]
     assert len(off) > points.shape[0] // 2
-    for x, answer in off:
-        assert answer[1] is None and answer[2] is None
+    for x, normal in off:
+        assert np.isnan(normal).all()
         assert lp(x) == (np.inf, None, None)
     direct = np.array([lp(p)[0] for p in points])
     assert (np.isinf(values) == np.isinf(direct)).all()
@@ -297,6 +298,24 @@ def test_walk_free_path_gives_the_same_gauges(monkeypatch, dim):
             np.testing.assert_allclose(np.einsum("ij,ij->i", y, points[finite]),
                                        values[finite], rtol=1e-12, atol=1e-12)
             assert (body.vertices @ y.T).max() <= 1.0 + 1e-12
+
+
+def test_walk_capped_at_one_pivot_leaves_the_rest_to_the_lp(monkeypatch):
+    # With one pivot allowed, rows certified within it leave the wave by
+    # walk and the others take the LP on their own, all with the LP's values.
+    rng = np.random.default_rng(3)
+    body = difference_hull(VPolytope(rng.normal(size=(30, 4))))
+    points = rng.normal(size=(150, 4))
+    monkeypatch.setattr(convex_core, "_WALK_PIVOTS", 1)
+    evaluate = _GaugeEvaluator(body)
+    values, normals = evaluate.with_normals(points)
+    assert evaluate.walks > 0 and evaluate.solved > 1 and evaluate.waves > 0
+    lp = _GaugeLP(body.vertices)
+    direct = np.array([lp(p)[0] for p in points])
+    np.testing.assert_allclose(values, direct, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(np.einsum("ij,ij->i", normals, points), values,
+                               rtol=1e-12, atol=1e-12)
+    assert (body.vertices @ normals.T).max() <= 1.0 + 1e-12
 
 
 def test_flat_body_keeps_one_lp_per_point_and_inf_off_its_cone(monkeypatch):

@@ -9,6 +9,7 @@ from polyradii.bodies import BodySpec, make_body
 from polyradii.convex_core import (
     DimensionMismatchError,
     VPolytope,
+    _GaugeEvaluator,
     difference_hull,
     member,
     minkowski_sum,
@@ -876,6 +877,59 @@ def test_spatial_chain_walks_between_facets_instead_of_solving_lps(monkeypatch):
     assert report.a2 == pytest.approx(3.659835911862138, rel=1e-12)
     assert report.a5 == pytest.approx(5.269282506851236, rel=1e-12)
     assert len(calls) <= 20
+
+
+def _recorded_evaluators(monkeypatch):
+    """Every gauge evaluator built from here on, in order."""
+    built = []
+    init = _GaugeEvaluator.__init__
+
+    def recorded(evaluate, body):
+        init(evaluate, body)
+        built.append(evaluate)
+
+    monkeypatch.setattr(_GaugeEvaluator, "__init__", recorded)
+    return built
+
+
+def test_spatial_chain_walks_in_waves_within_the_cell_budget(monkeypatch):
+    # The uncovered rows of a call walk together, so waves are far fewer
+    # than walked rows, each wave's per-pivot products stay in budget, and
+    # the facets that several rows of a wave reach are cached once.
+    rng = np.random.default_rng(3)
+    k = VPolytope(rng.normal(size=(30, 4)))
+    c = rng.normal(size=(30, 4))
+    built = _recorded_evaluators(monkeypatch)
+    waves = []
+    walk = _GaugeEvaluator._walk
+
+    def recorded(evaluate, wave):
+        waves.append((wave.shape[0], evaluate.columns.shape[0]))
+        return walk(evaluate, wave)
+
+    monkeypatch.setattr(_GaugeEvaluator, "_walk", recorded)
+    assert verify_chain(k, VPolytope(c - c.mean(axis=0))).ok
+    off_plane = [evaluate for evaluate in built if evaluate.polar_vertices is None]
+    assert sum(evaluate.waves for evaluate in off_plane) == len(waves)
+    assert 10 * len(waves) < sum(rows for rows, _ in waves)
+    assert sum(evaluate.solved for evaluate in off_plane) <= 20
+    assert max(2 * rows * columns for rows, columns in waves) <= convex_core._WAVE_CELLS
+    for evaluate in off_plane:  # each facet is cached once
+        assert len({frozenset(basis) for basis in evaluate.bases.tolist()}) == len(evaluate.bases)
+
+
+def test_chain_builds_one_evaluator_per_vertex_array(monkeypatch):
+    # a4 and 2R share C's frame, and C recentred at its certified centroid
+    # keeps the evaluator that certified it, which is also that frame's.
+    rng = np.random.default_rng(8)
+    k = VPolytope(rng.normal(size=(6, 4)))
+    c = VPolytope(rng.normal(size=(6, 4)) + 3.0)
+    built = _recorded_evaluators(monkeypatch)
+    assert verify_chain(k, c).ok
+    arrays = [evaluate.body.vertices.tobytes() for evaluate in built]
+    assert len(arrays) == len(set(arrays))
+    centred = (c.vertices - c.vertices.mean(axis=0)).tobytes()
+    assert arrays.count(centred) == 1
 
 
 @pytest.mark.parametrize("length", [1e9, 4e9])

@@ -49,11 +49,10 @@ class GaugeBody:
     gauge evaluator, built on first use, keeps the facet cones it meets."""
 
     body: VPolytope
-    interior_certificate: np.ndarray
 
     @classmethod
     def from_polytope(cls, body: VPolytope) -> "GaugeBody":
-        gauge_body = cls(body, np.zeros(body.dim))
+        gauge_body = cls(body)
         margin = gauge_body._evaluate.slack()
         if margin < _interior_margin(body):
             raise GaugeError(
@@ -66,7 +65,7 @@ class GaugeBody:
     def _certified(cls, evaluate: _GaugeEvaluator) -> "GaugeBody":
         """The body of ``evaluate``, whose slack has certified its origin,
         keeping that evaluator and the facet cones it has met."""
-        gauge_body = cls(evaluate.body, np.zeros(evaluate.dim))
+        gauge_body = cls(evaluate.body)
         gauge_body.__dict__["_evaluate"] = evaluate  # cached_property's slot
         return gauge_body
 

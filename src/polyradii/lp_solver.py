@@ -1,9 +1,11 @@
 """Dense two-phase simplex solver for small containment and gauge programs.
 
-Every optimisation in this package reduces to a linear program with at most a
-few hundred rows, so the tableau is kept dense and pivoting favours
-robustness over speed.  Entering columns follow Dantzig's rule until pivots
-stall, then switch permanently to Bland's rule, which rules out cycling.
+Every optimisation in this package reduces to a linear program over
+non-negative variables with d or d + 1 rows, so the tableau is kept dense
+and pivoting favours robustness over speed.  Entering columns follow
+Dantzig's rule until pivots stall, then switch permanently to Bland's rule,
+which rules out cycling.  Pivot and feasibility thresholds are the fixed
+``PIVOT_TOL`` and ``FEASIBILITY_TOL``; callers scale their rows to suit them.
 """
 
 from __future__ import annotations
@@ -35,18 +37,17 @@ class MalformedProgramError(ValueError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """minimize ``objective @ x`` subject to ``lhs[i] @ x <rel_i> rhs[i]``.
+    """minimize ``objective @ x`` subject to ``lhs[i] @ x <rel_i> rhs[i]``
+    and ``x >= 0``.
 
-    ``lower_bounds`` holds one entry per variable: a float, or None for a
-    free variable.  The default bounds every variable below by zero.  There
-    are no upper bounds; encode them as rows.
+    Encode any other bound on a variable as a row, and a free variable as
+    the difference of two non-negative ones.
     """
 
     objective: np.ndarray
     lhs: np.ndarray
     relations: tuple[str, ...]
     rhs: np.ndarray
-    lower_bounds: tuple[float | None, ...] | None = None
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
@@ -66,12 +67,6 @@ class LinearProgram:
                 raise MalformedProgramError(f"unknown relation {rel!r}")
         if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
             raise MalformedProgramError("non-finite coefficient in program")
-        if self.lower_bounds is not None:
-            if len(self.lower_bounds) != c.size:
-                raise MalformedProgramError("one lower bound required per variable")
-            for lb in self.lower_bounds:
-                if lb is not None and not np.isfinite(lb):
-                    raise MalformedProgramError("lower bounds must be finite or None")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "lhs", a)
         object.__setattr__(self, "rhs", b)
@@ -84,9 +79,8 @@ class LpOutcome:
     ``duals`` carries one multiplier per constraint row, oriented to the row
     as given (see :func:`solve`).  ``basis`` holds the index of the basic
     column of each row in the solver's standard form: indices below the
-    variable count are the program's own variables (the positive part of a
-    free one); larger ones are the negative parts of free variables, then
-    slacks, then artificials parked on dependent rows.
+    variable count are the program's own variables; larger ones are slacks,
+    then artificials parked on dependent rows.
     """
 
     status: str
@@ -96,8 +90,7 @@ class LpOutcome:
     basis: np.ndarray | None = None
 
 
-def solve(lp: LinearProgram, *, pivot_tol: float = PIVOT_TOL,
-          max_iterations: int | None = None) -> LpOutcome:
+def solve(lp: LinearProgram, *, max_iterations: int | None = None) -> LpOutcome:
     """Solve ``lp`` with a two-phase dense simplex.
 
     Returns an LpOutcome whose status is one of ``optimal``, ``infeasible``,
@@ -106,34 +99,13 @@ def solve(lp: LinearProgram, *, pivot_tol: float = PIVOT_TOL,
     ``FEASIBILITY_TOL`` and ``duals`` solves the basis system, so for
     equality rows it is the usual Lagrange multiplier vector.
     """
-    c_orig = lp.objective
-    a_orig = lp.lhs
-    b_orig = lp.rhs
-    m, n = a_orig.shape
-
-    lower = np.zeros(n)
-    free = np.zeros(n, dtype=bool)
-    if lp.lower_bounds is not None:
-        for j, lb in enumerate(lp.lower_bounds):
-            if lb is None:
-                free[j] = True
-            else:
-                lower[j] = lb
-
-    # Shift x = lower + y so every bounded variable satisfies y >= 0, and
-    # split free variables into positive parts y+ - y-.
-    shift = np.where(free, 0.0, lower)
-    b_eff = b_orig - a_orig @ shift
-    free_idx = np.flatnonzero(free)
-    a_work = np.hstack([a_orig, -a_orig[:, free_idx]]) if free_idx.size else a_orig.copy()
-    c_work = np.concatenate([c_orig, -c_orig[free_idx]])
-    n_work = n + free_idx.size
+    m, n = lp.lhs.shape
 
     # Orient rows to non-negative right-hand sides.
     relations = list(lp.relations)
     row_sign = np.ones(m)
-    a_work = a_work.copy()
-    b_work = b_eff.copy()
+    a_work = lp.lhs.copy()
+    b_work = lp.rhs.copy()
     for i in range(m):
         if b_work[i] < 0:
             a_work[i] *= -1.0
@@ -146,13 +118,13 @@ def solve(lp: LinearProgram, *, pivot_tol: float = PIVOT_TOL,
 
     n_slack = sum(1 for r in relations if r != EQUAL)
     n_art = sum(1 for r in relations if r != LESS_EQUAL)
-    total = n_work + n_slack + n_art
+    total = n + n_slack + n_art
 
     a_std = np.zeros((m, total))
-    a_std[:, :n_work] = a_work
+    a_std[:, :n] = a_work
     basis = np.empty(m, dtype=int)
-    slack_col = n_work
-    art_col = n_work + n_slack
+    slack_col = n
+    art_col = n + n_slack
     art_cols = []
     for i in range(m):
         if relations[i] == LESS_EQUAL:
@@ -186,7 +158,7 @@ def solve(lp: LinearProgram, *, pivot_tol: float = PIVOT_TOL,
         cost1 = np.zeros(total)
         cost1[art_cols] = 1.0
         _install_cost_row(tableau, basis, cost1)
-        status = _iterate(tableau, basis, banned, pivot_tol, max_iterations)
+        status = _iterate(tableau, basis, banned, max_iterations)
         if status != OPTIMAL:
             # Phase 1 is bounded below by zero, so anything else is numeric.
             return LpOutcome(NUMERICAL_FAILURE)
@@ -199,16 +171,16 @@ def solve(lp: LinearProgram, *, pivot_tol: float = PIVOT_TOL,
         for r in range(m):
             if basis[r] in art_cols:
                 row = tableau[r, :total]
-                candidates = np.flatnonzero((np.abs(row) > pivot_tol) & ~banned)
+                candidates = np.flatnonzero((np.abs(row) > PIVOT_TOL) & ~banned)
                 if candidates.size:
                     _pivot(tableau, r, int(candidates[0]))
                     basis[r] = int(candidates[0])
 
     # Phase 2 with the real objective.
     cost2 = np.zeros(total)
-    cost2[:n_work] = c_work
+    cost2[:n] = lp.objective
     _install_cost_row(tableau, basis, cost2)
-    status = _iterate(tableau, basis, banned, pivot_tol, max_iterations)
+    status = _iterate(tableau, basis, banned, max_iterations)
     if status == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
     if status != OPTIMAL:
@@ -226,13 +198,10 @@ def solve(lp: LinearProgram, *, pivot_tol: float = PIVOT_TOL,
     except np.linalg.LinAlgError:
         pass
     x_std[basis] = np.maximum(basic_values, 0.0)
-    solution = shift + x_std[:n]
-    if free_idx.size:
-        # Free variables carried no shift; recombine their split halves.
-        solution[free_idx] = x_std[free_idx] - x_std[n:n_work]
-    value = float(c_orig @ solution)
+    solution = x_std[:n]
+    value = float(lp.objective @ solution)
 
-    if _max_violation(a_orig, lp.relations, b_orig, solution) > FEASIBILITY_TOL:
+    if _max_violation(lp.lhs, lp.relations, lp.rhs, solution) > FEASIBILITY_TOL:
         return LpOutcome(NUMERICAL_FAILURE)
 
     duals = _recover_duals(a_std, basis, cost2, row_sign)
@@ -261,7 +230,7 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
 
 
 def _iterate(tableau: np.ndarray, basis: np.ndarray, banned: np.ndarray,
-             pivot_tol: float, max_iterations: int) -> str:
+             max_iterations: int) -> str:
     m = tableau.shape[0] - 1
     total = tableau.shape[1] - 1
     bland = False
@@ -269,7 +238,7 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray, banned: np.ndarray,
     last_objective = -tableau[m, total]
     for _ in range(max_iterations):
         reduced = tableau[m, :total]
-        eligible = (reduced < -pivot_tol) & ~banned
+        eligible = (reduced < -PIVOT_TOL) & ~banned
         if not eligible.any():
             return OPTIMAL
         if bland:
@@ -278,7 +247,7 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray, banned: np.ndarray,
             masked = np.where(eligible, reduced, np.inf)
             col = int(np.argmin(masked))
         column = tableau[:m, col]
-        positive = column > pivot_tol
+        positive = column > PIVOT_TOL
         if not positive.any():
             return UNBOUNDED
         # Drift can leave right-hand sides slightly negative; reading them as
@@ -309,8 +278,6 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray, banned: np.ndarray,
 
 def _max_violation(a: np.ndarray, relations: tuple[str, ...], b: np.ndarray,
                    x: np.ndarray) -> float:
-    if a.shape[0] == 0:
-        return 0.0
     ax = a @ x
     worst = 0.0
     for i, rel in enumerate(relations):

@@ -365,7 +365,7 @@ def _diameter(k: VPolytope, half: GaugeBody) -> tuple[float, tuple[int, int],
     # The gauge of (C-C)/2 is symmetric, so the first row attaining the
     # maximum has an attaining partner after it; that row is evaluated again
     # for its first attaining column and that column's polar vertex.
-    row_max = half._evaluate.pairwise_maxima(verts, symmetric=True)
+    row_max = half._evaluate.pairwise_maxima(verts)
     top = float(row_max.max())
     i = int(np.argmax(row_max >= _tie_floor(top)))
     values, polar = half._evaluate.with_normals(verts[i + 1:] - verts[i])
@@ -486,7 +486,7 @@ def _interior_gauge_at(p: VPolytope) -> tuple[np.ndarray, GaugeBody]:
         return centroid, GaugeBody._certified(evaluate)
     fit = inradius(p, VPolytope(np.vstack([np.eye(p.dim), -np.eye(p.dim)])))
     if fit.value > margin:
-        return fit.center, GaugeBody(VPolytope(p.vertices - fit.center), np.zeros(p.dim))
+        return fit.center, GaugeBody(VPolytope(p.vertices - fit.center))
     raise LowerDimensionalError("polytope has empty interior")
 
 
@@ -514,11 +514,12 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     classical bound D <= 2R.  a1 is the largest support ratio over the
     vertex directions of C-C and the polar vertex y* of (C-C)/2 that
     certifies D.  No direction exceeds D and y* attains it, so a1 = a2
-    checks D's certificate in every dimension.
+    checks D's certificate in every dimension.  a5 is the largest gauge of
+    C at the vertices of K-K.  ``tol`` must be finite and positive.
     """
     _check_dims(k, c)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     a = difference_hull(k)
     gauge_c, shift = _interior_gauge(c)
     half = _half_difference_gauge(c)
@@ -533,7 +534,7 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     a3 = _containment("circumradius", a, half.body, _frame(half.body, half._evaluate)).value
     frame_c = _frame(c, gauge_c._evaluate)
     a4 = _containment("circumradius", a, c, frame_c).value
-    a5 = float(gauge_c._evaluate.pairwise_maxima(k.vertices).max())
+    a5 = float(gauge_c._evaluate(a.vertices).max())
 
     # Chord-ratio representation of the diameter (convex bodies).
     # Chord lengths are reciprocal gauges of the centered bodies K-K and

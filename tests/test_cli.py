@@ -161,6 +161,16 @@ def test_verify_exit_two_when_tolerance_is_unmeetable(capsys, body_files):
     assert json.loads(out)["flags"]  # report still emitted
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_verify_rejects_a_tolerance_that_is_not_finite_and_positive(capsys, body_files, tol):
+    # --tol nan printed the non-JSON token NaN, and --tol inf passed every flag.
+    code, out, err = run_cli(capsys, "verify", "--body", body_files["square"],
+                             "--gauge", body_files["triangle"], "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert "finite and positive" in err
+
+
 def test_verify_rejects_nan_json(capsys, tmp_path, body_files):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 2, "vertices": [[NaN, 0.0], [1.0, 0.0], [0.0, 1.0]]}')

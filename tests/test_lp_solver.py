@@ -16,11 +16,11 @@ from polyradii.lp_solver import (
 )
 
 
-def make_lp(c, rows, lower_bounds=None):
+def make_lp(c, rows):
     lhs = np.array([r[0] for r in rows], dtype=float)
     relations = tuple(r[1] for r in rows)
     rhs = np.array([r[2] for r in rows], dtype=float)
-    return LinearProgram(np.asarray(c, dtype=float), lhs, relations, rhs, lower_bounds)
+    return LinearProgram(np.asarray(c, dtype=float), lhs, relations, rhs)
 
 
 def test_minimize_x_with_floor():
@@ -44,21 +44,6 @@ def test_plane_cut():
 def test_unbounded_detected():
     out = solve(make_lp([-1.0], [([1.0], GREATER_EQUAL, 0.0)]))
     assert out.status == UNBOUNDED
-
-
-def test_free_variable_reaches_negative_optimum():
-    # min x s.t. x >= -5 with x free
-    out = solve(make_lp([1.0], [([1.0], GREATER_EQUAL, -5.0)], lower_bounds=(None,)))
-    assert out.status == OPTIMAL
-    assert out.value == pytest.approx(-5.0, abs=1e-9)
-
-
-def test_finite_lower_bounds_shift():
-    # min x + y with x >= 2, y >= -3 (given as bounds), x + y <= 10
-    out = solve(make_lp([1.0, 1.0], [([1.0, 1.0], LESS_EQUAL, 10.0)], lower_bounds=(2.0, -3.0)))
-    assert out.status == OPTIMAL
-    assert out.value == pytest.approx(-1.0, abs=1e-9)
-    assert out.solution == pytest.approx([2.0, -3.0], abs=1e-9)
 
 
 def test_equality_rows():
@@ -124,15 +109,13 @@ def _scipy_reference(lp):
         else:
             a_eq.append(row)
             b_eq.append(b)
-    lbs = lp.lower_bounds or (0.0,) * lp.objective.size
-    bounds = [(lb, None) if lb is not None else (None, None) for lb in lbs]
     return linprog(
         lp.objective,
         A_ub=np.array(a_ub) if a_ub else None,
         b_ub=np.array(b_ub) if b_ub else None,
         A_eq=np.array(a_eq) if a_eq else None,
         b_eq=np.array(b_eq) if b_eq else None,
-        bounds=bounds,
+        bounds=(0, None),
         method="highs",
     )
 
@@ -178,17 +161,13 @@ def test_positive_rescaling_scales_the_optimum():
             continue
         alpha = float(rng.uniform(0.5, 4.0))
         tol = 1e-8 * max(1.0, alpha)
-        scaled_cost = LinearProgram(
-            alpha * lp.objective, lp.lhs, lp.relations, lp.rhs, lp.lower_bounds
-        )
+        scaled_cost = LinearProgram(alpha * lp.objective, lp.lhs, lp.relations, lp.rhs)
         out = solve(scaled_cost)
         assert out.status == OPTIMAL
         assert out.value == pytest.approx(alpha * base.value, abs=tol)
         # Scaling the right-hand side scales the feasible set, hence the
-        # optimum, by the same factor (all implicit lower bounds are zero).
-        scaled_rhs = LinearProgram(
-            lp.objective, lp.lhs, lp.relations, alpha * lp.rhs, lp.lower_bounds
-        )
+        # optimum, by the same factor (all lower bounds are zero).
+        scaled_rhs = LinearProgram(lp.objective, lp.lhs, lp.relations, alpha * lp.rhs)
         out = solve(scaled_rhs)
         assert out.status == OPTIMAL
         assert out.value == pytest.approx(alpha * base.value, abs=tol)

@@ -299,10 +299,17 @@ def test_diameter_planar_path_matches_pairwise_gauge_lp():
 def test_chain_a5_matches_ordered_pair_gauge_lps():
     from polyradii.radii import _interior_gauge
 
-    for k, c in _planar_pairs_with_ties():
+    rng = np.random.default_rng(57)
+    spatial = []
+    for d, shift in ((3, 0.0), (4, 0.0), (3, 4.0), (4, 3.0)):
+        c = random_full_dim(rng, d, 7).vertices
+        # A shifted C holds no origin and is recentred at its centroid.
+        spatial.append((random_full_dim(rng, d, 7), VPolytope(c - c.mean(axis=0) + shift)))
+    for k, c in _planar_pairs_with_ties() + spatial:
         gb, _ = _interior_gauge(c)
+        gauge_lp = convex_core._GaugeLP(gb.body.vertices)  # one LP per ordered pair
         verts = k.vertices
-        brute = max(gauge(gb, verts[j] - verts[i]).value
+        brute = max(gauge_lp(verts[j] - verts[i])[0]
                     for i in range(len(verts)) for j in range(len(verts)) if i != j)
         assert verify_chain(k, c).a5 == pytest.approx(brute, abs=1e-7)
 
@@ -689,6 +696,15 @@ def test_chain_reports_are_deterministic():
         assert first.flags == second.flags
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_chain_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    # nan would fail every flag and inf pass every flag vacuously.
+    with pytest.raises(ValueError, match="finite and positive"):
+        verify_chain(SQUARE, TRIANGLE, tol=tol)
+    with pytest.raises(ValueError, match="finite and positive"):
+        radii_report(SQUARE, TRIANGLE, quantities=(), tol=tol)
+
+
 def test_chain_degenerates_to_zero_for_singleton_body():
     report = verify_chain(VPolytope([[3.0, -1.0]]), TRIANGLE, tol=1e-6)
     assert report.a1 == report.a2 == report.a3 == report.a4 == report.a5 == 0.0
@@ -890,6 +906,34 @@ def _recorded_evaluators(monkeypatch):
 
     monkeypatch.setattr(_GaugeEvaluator, "__init__", recorded)
     return built
+
+
+def test_spatial_diameter_evaluates_all_pairs_in_one_call(monkeypatch):
+    # Off the plane the vertex pairs i < j are one batch through the facet
+    # cache, not one evaluator call per vertex row (30 here).
+    rng = np.random.default_rng(3)
+    k = VPolytope(rng.normal(size=(30, 4)))
+    c = rng.normal(size=(30, 4))
+    calls, inside = [], []
+    pairwise, with_normals = _GaugeEvaluator.pairwise_maxima, _GaugeEvaluator.with_normals
+
+    def pairwise_recorded(evaluate, *args, **kwargs):
+        inside.append(True)
+        try:
+            return pairwise(evaluate, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def with_normals_recorded(evaluate, points):
+        if inside:
+            calls.append(np.atleast_2d(points).shape[0])
+        return with_normals(evaluate, points)
+
+    monkeypatch.setattr(_GaugeEvaluator, "pairwise_maxima", pairwise_recorded)
+    monkeypatch.setattr(_GaugeEvaluator, "with_normals", with_normals_recorded)
+    res = diameter(k, VPolytope(c - c.mean(axis=0)))
+    assert res.value == pytest.approx(3.659835911862138, rel=1e-12)
+    assert calls == [30 * 29 // 2]
 
 
 def test_spatial_chain_walks_in_waves_within_the_cell_budget(monkeypatch):

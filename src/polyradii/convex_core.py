@@ -8,8 +8,8 @@ linear, vectorised check, and runs Andrew's monotone chain on anything
 else.  Halfspace representations exist solely in the plane, where facet
 enumeration is exact and cheap.  Gauges are evaluated here as well, by one
 batched ``_GaugeEvaluator`` per body (a planar body's polar vertices when
-the origin is interior, else facet cones met by dual simplex walks, which
-the points of a call that no cached cone holds take together, in waves),
+the origin is interior, else dual simplex walks in waves, each from the
+best cached facet cone and done at once where that cone holds its point),
 and the interior certificate ``interior_slack`` is its slack: in the plane
 the facet closed form min_f b_f / |n_f|_inf, or -1 if some offset b_f is
 <= 0.
@@ -447,12 +447,12 @@ class _GaugeEvaluator:
     gauge is linear.  A later point x with weights mu = B_f^-1 x >= 0 has
     gauge sum(mu), certified both ways: mu is a feasible weight vector, and
     the basis dual y_f = B_f^-T 1, a polar vertex by optimality, gives
-    y_f.x = sum(mu).  Each batch is tested against every cached cone at
-    once; the points no cone holds walk from the cached facets together,
-    in waves (``_walk``), and the first point, or one whose walk stops
-    short, takes a gauge LP.  The gauge is inf off the cone of the
-    vertices; there nothing is cached, nor from a flat body, whose LP basis
-    keeps an artificial column.
+    y_f.x = sum(mu).  Every point of a batch walks from the cached facet
+    with the largest y_f.x, in waves (``_walk``), and stops there when its
+    cone holds it; the first point, or one whose walk stops short, takes a
+    gauge LP.  Each facet is cached once.  The gauge is inf off the cone
+    of the vertices; there nothing is cached, nor from a flat body, whose
+    LP basis keeps an artificial column.
     """
 
     def __init__(self, body: VPolytope):
@@ -467,13 +467,13 @@ class _GaugeEvaluator:
                 return
         self.lp = _GaugeLP(body.vertices)
         self.columns = self.lp.lhs.T  # the scaled vertices, one row per LP column
-        # Inverse bases of the cached facets, stacked as (facets * d, d), and
-        # the polar vertex y_f of each facet in the body's coordinates.
-        self.inverses = np.empty((0, body.dim))
+        # Bases of the cached facets, their inverses (facets, d, d), and the
+        # polar vertex y_f of each facet in the body's coordinates.
+        self.inverses = np.empty((0, body.dim, body.dim))
         self.normals = np.empty((0, body.dim))
         self.bases = np.empty((0, body.dim), dtype=int)
-        # Points answered by a gauge LP and by a walk, and the waves of
-        # uncovered points (calls of _walk).
+        # Points answered by a gauge LP and by a walk (one held at pivot 0
+        # included), and the waves (calls of _walk).
         self.solved = self.walks = self.waves = 0
 
     def __call__(self, points) -> np.ndarray:
@@ -483,12 +483,12 @@ class _GaugeEvaluator:
         """The gauge of each row and a polar vertex y attaining it.
 
         y.v <= 1 on every vertex v of the body and y.x = gauge(x): the planar
-        argmax p_f, the B_f^-T 1 of a cached cone or of a walk's last basis,
-        or the gauge LP's dual normal.  Rows whose gauge is inf get a nan
-        normal.  Rows that no cached cone holds walk in waves of as many
-        lanes as keep a pivot's two (lanes, n) products over the n vertex
-        columns within ``_WAVE_CELLS``; after each wave its new facets are
-        cached and the rows still waiting are looked up against them.
+        argmax p_f, the B^-T 1 of a walk's last basis, or the gauge LP's
+        dual normal.  Rows whose gauge is inf get a nan normal.  Off the
+        plane every row walks, in waves of as many lanes as keep a pivot's
+        two (lanes, n) products over the n vertex columns within
+        ``_WAVE_CELLS``; after each wave the new facets that its walks and
+        LPs reached are cached, and later waves start from them.
         """
         points = np.atleast_2d(points)
         if self.polar_vertices is not None:
@@ -496,49 +496,25 @@ class _GaugeEvaluator:
             best = products.argmax(axis=1)
             values = products[np.arange(points.shape[0]), best]
             return np.maximum(values, 0.0), self.polar_vertices[:, best].T
-        values, facet = self._lookup(points, 0)
+        values = np.full(points.shape[0], np.nan)
         normals = np.full(points.shape, np.nan)
-        waiting = np.flatnonzero(np.isnan(values))
+        waiting = np.arange(points.shape[0])
         lanes = max(1, _WAVE_CELLS // (2 * self.columns.shape[0]))
         while waiting.size:
-            start = self.normals.shape[0]
-            size = lanes if start else 1  # a body's first point takes the LP alone
+            size = lanes if self.bases.size else 1  # a body's first point takes the LP alone
             wave, waiting = waiting[:size], waiting[size:]
             self.waves += 1
-            values[wave], normals[wave], bases, inverses = self._walk(points[wave])
+            values[wave], normals[wave], bases, moved = self._walk(points[wave])
             unwalked = np.flatnonzero(np.isnan(values[wave]))
             self.walks += wave.size - unwalked.size
             self.solved += unwalked.size
             for j in unwalked:
                 values[wave[j]], normal, basis = self.lp(points[wave[j]])
                 if basis is not None:
-                    normals[wave[j]], bases[j], inverses[j] = normal, basis, np.nan
-            finite = np.isfinite(values[wave])
-            self._cache(bases[finite], inverses[finite])
-            if self.normals.shape[0] > start and waiting.size:
-                values[waiting], facet[waiting] = self._lookup(points[waiting], start)
-                waiting = waiting[np.isnan(values[waiting])]
-        held = facet >= 0
-        normals[held] = self.normals[facet[held]]
+                    normals[wave[j]], bases[j] = normal, basis
+            moved[unwalked] = True
+            self._cache(bases[moved & np.isfinite(values[wave])])
         return values, normals
-
-    def _lookup(self, points: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
-        """Gauge of each point, and the index of the first cached cone from
-        ``start`` on that holds it; nan and -1 where none does."""
-        count, d = points.shape
-        values = np.full(count, np.nan)
-        index = np.full(count, -1)
-        inverses = self.inverses[start * d:]
-        facets = inverses.shape[0] // d
-        if facets == 0:
-            return values, index
-        weights = ((points * self.lp.scale) @ inverses.T).reshape(count, facets, d)
-        inside = weights.min(axis=2) >= -_CONE_TOL * np.abs(weights).sum(axis=2)
-        hit = np.flatnonzero(inside.any(axis=1))
-        first = inside[hit].argmax(axis=1)
-        values[hit] = np.maximum(weights[hit, first].sum(axis=1), 0.0)
-        index[hit] = start + first
-        return values, index
 
     def _walk(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                                  np.ndarray, np.ndarray]:
@@ -549,24 +525,24 @@ class _GaugeEvaluator:
         B^-1 x leaves, the ratio test on those reduced costs over its row
         of B^-1 A picks the column that enters, and the new bases are
         inverted as one stack.  A row stops certified optimal (weights and
-        reduced costs non-negative), or with inf when its leaving row has
-        no negative entry (x is off the cone), or with nan, to take the LP,
-        where rounding has broken the certificate, at a singular basis, or
-        uncertified after _WALK_PIVOTS pivots; every row gets nan when no
-        facet is cached or _WALK_PIVOTS is 0.  A stopped row keeps its
-        basis, so the rows are classified once, after the last pivot.
+        reduced costs non-negative; at pivot 0 if its start cone holds it),
+        or with inf when its leaving row has no negative entry (x is off the
+        cone), or with nan, to take the LP, where rounding has broken the
+        certificate, at a singular basis, or uncertified after _WALK_PIVOTS
+        pivots; every row gets nan when no facet is cached or _WALK_PIVOTS
+        is 0.  A stopped row keeps its basis: rows are classified once.
 
         Returns the values, the normals B^-T 1 (nan where there is none),
-        and each row's last basis with its inverse, the ones to cache where
-        the value is finite.
+        each row's last basis, the one to cache where the value is finite,
+        and whether that basis has left the row's start facet.
         """
         count, d = points.shape
         values = np.full(count, np.nan)
         normals = np.full((count, d), np.nan)
         if not self.bases.size or not _WALK_PIVOTS:
-            return values, normals, np.zeros((count, d), dtype=int), np.full((count, d, d), np.nan)
+            return values, normals, np.zeros((count, d), dtype=int), np.zeros(count, dtype=bool)
         start = (points @ self.normals.T).argmax(axis=1)
-        basis, inverse = self.bases[start], self.inverses.reshape(-1, d, d)[start]
+        basis, inverse = self.bases[start], self.inverses[start]
         x, rows = points * self.lp.scale, np.arange(count)
         stuck = np.zeros(count, dtype=bool)  # handed to the LP mid-walk
         for pivots in range(_WALK_PIVOTS + 1):
@@ -597,30 +573,28 @@ class _GaugeEvaluator:
         values[done] = np.maximum(weights[done].sum(axis=1), 0.0)
         normals[done] = y[done] * self.lp.scale
         values[~optimal & ~stuck] = np.inf
-        return values, normals, basis, inverse
+        return values, normals, basis, (basis != self.bases[start]).any(axis=1)
 
-    def _cache(self, bases: np.ndarray, inverses: np.ndarray) -> None:
-        """Cache the distinct facets among optimal ``bases`` whose d columns
-        are vertex columns with a condition number within _BASIS_COND, with
-        their inverses; nan inverses (an LP's basis) are computed here."""
-        real = (bases < self.columns.shape[0]).all(axis=1)
-        bases, inverses = bases[real], inverses[real]
-        if bases.shape[0] > 1:  # one facet per set of columns, in any order
-            key = np.sort(bases, axis=1)
-            order = np.lexsort(key.T)
-            key = key[order]
-            first = order[np.concatenate([[True], (key[1:] != key[:-1]).any(axis=1)])]
-            bases, inverses = bases[first], inverses[first]
+    def _cache(self, bases: np.ndarray) -> None:
+        """Cache the facets among optimal ``bases`` whose d columns are vertex
+        columns with a condition number within _BASIS_COND and that no cached
+        or earlier basis spans, with their inverses."""
+        bases = bases[(bases < self.columns.shape[0]).all(axis=1)]
         if not bases.size:
             return
+        # One facet per set of columns, in any order; the stable sort keeps
+        # the cached basis of a set, which is then not cached again.
+        known = self.bases.shape[0]
+        key = np.sort(np.concatenate([self.bases, bases]), axis=1)
+        order = np.lexsort(key.T)
+        key = key[order]
+        first = order[np.concatenate([[True], (key[1:] != key[:-1]).any(axis=1)])]
+        bases = bases[first[first >= known] - known]
         columns = self.columns[bases].transpose(0, 2, 1)
         sound = np.linalg.cond(columns) <= _BASIS_COND
-        bases, inverses, columns = bases[sound], inverses[sound], columns[sound]
-        missing = np.isnan(inverses[:, 0, 0])
-        if missing.any():
-            inverses[missing] = np.linalg.inv(columns[missing])
+        bases, inverses = bases[sound], np.linalg.inv(columns[sound])
         self.bases = np.concatenate([self.bases, bases])
-        self.inverses = np.concatenate([self.inverses, inverses.reshape(-1, self.dim)])
+        self.inverses = np.concatenate([self.inverses, inverses])
         self.normals = np.concatenate([self.normals, inverses.sum(axis=1) * self.lp.scale])
 
     def slack(self) -> float:
@@ -662,7 +636,7 @@ class _GaugeEvaluator:
 
 def interior_slack(p: VPolytope, point) -> float:
     """``_GaugeEvaluator.slack`` of the body translated by -point; a slack
-    above ``_interior_margin(p)`` certifies ``point`` interior."""
+    of at least ``_interior_margin(p)`` certifies ``point`` interior."""
     return _GaugeEvaluator(VPolytope(p.vertices - _as_vector(point, p.dim))).slack()
 
 

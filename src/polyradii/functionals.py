@@ -61,14 +61,6 @@ class GaugeBody:
             )
         return gauge_body
 
-    @classmethod
-    def _certified(cls, evaluate: _GaugeEvaluator) -> "GaugeBody":
-        """The body of ``evaluate``, whose slack has certified its origin,
-        keeping that evaluator and the facet cones it has met."""
-        gauge_body = cls(evaluate.body)
-        gauge_body.__dict__["_evaluate"] = evaluate  # cached_property's slot
-        return gauge_body
-
     @property
     def dim(self) -> int:
         return self.body.dim

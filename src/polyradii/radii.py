@@ -467,11 +467,11 @@ def interior_point(p: VPolytope) -> np.ndarray:
     """The vertex centroid when it certifies as interior, else the centre of
     the largest cross-polytope conv{x ± rho e_k} inside the hull.
 
-    A point certifies when its ``interior_slack`` exceeds
-    ``_interior_margin(p)``; the slack of the cross-polytope's centre is
-    its inradius r(P, conv{±e_k}).  Raises LowerDimensionalError when no
-    point certifies, i.e. the hull has empty interior at working precision;
-    the engine gives r = 0 for flat bodies.
+    A point certifies when its ``interior_slack`` is at least
+    ``_interior_margin(p)``, as in ``GaugeBody.from_polytope``; the slack of
+    the cross-polytope's centre is its inradius r(P, conv{±e_k}).  Raises
+    LowerDimensionalError when no point certifies, i.e. the hull has empty
+    interior at working precision; the engine gives r = 0 for flat bodies.
     """
     return _interior_gauge_at(p)[0]
 
@@ -480,12 +480,12 @@ def _interior_gauge_at(p: VPolytope) -> tuple[np.ndarray, GaugeBody]:
     """``interior_point(p)`` and p translated by it as a gauge body, which
     keeps the evaluator whose slack certified the centroid."""
     centroid = p.vertices.mean(axis=0)
-    margin = _interior_margin(p)
-    evaluate = _GaugeEvaluator(VPolytope(p.vertices - centroid))
-    if evaluate.slack() > margin:
-        return centroid, GaugeBody._certified(evaluate)
+    try:
+        return centroid, GaugeBody.from_polytope(VPolytope(p.vertices - centroid))
+    except GaugeError:
+        pass
     fit = inradius(p, VPolytope(np.vstack([np.eye(p.dim), -np.eye(p.dim)])))
-    if fit.value > margin:
+    if fit.value >= _interior_margin(p):
         return fit.center, GaugeBody(VPolytope(p.vertices - fit.center))
     raise LowerDimensionalError("polytope has empty interior")
 
@@ -507,6 +507,11 @@ def _unit_rows(vertices: np.ndarray) -> np.ndarray:
     return vertices[keep] / norms[keep, None]
 
 
+def _check_tol(tol: float) -> None:
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     """Compute the five chain members by independent routes and check them.
 
@@ -518,8 +523,7 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     C at the vertices of K-K.  ``tol`` must be finite and positive.
     """
     _check_dims(k, c)
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    _check_tol(tol)
     a = difference_hull(k)
     gauge_c, shift = _interior_gauge(c)
     half = _half_difference_gauge(c)
@@ -577,7 +581,10 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
 
 def radii_report(k: VPolytope, c: VPolytope, quantities=("R", "r", "D", "omega"),
                  chain: bool = True, tol: float = 1e-6) -> dict:
-    """All requested quantities plus the chain report, in stable key order."""
+    """All requested quantities plus the chain report, in stable key order;
+    the chain's ``tol`` is checked first."""
+    if chain:
+        _check_tol(tol)
     report: dict = {}
     if "R" in quantities:
         report["R"] = circumradius(k, c).to_dict()

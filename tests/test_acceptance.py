@@ -13,6 +13,7 @@ import pytest
 from polyradii.bodies import BodySpec, make_body
 from polyradii.convex_core import (
     VPolytope,
+    _GaugeLP,
     difference_hull,
     facets_2d,
     interior_slack,
@@ -325,8 +326,8 @@ def test_criterion_7_width_oracle_equivalence():
         # The pinned inscription: both difference bodies are centered, so
         # t*(C-C) fits in K-K exactly when t*gauge_{K-K}(w) <= 1 at every
         # vertex w of C-C, one gauge LP each.
-        body = GaugeBody.from_polytope(a)
-        via_lp = 2.0 / max(gauge(body, w).value for w in b.vertices)
+        gauge_lp = _GaugeLP(a.vertices)
+        via_lp = 2.0 / max(gauge_lp(w)[0] for w in b.vertices)
         via_facets = min_width(k, c).value
         assert abs(via_lp - via_facets) <= tol
         sweep = 2.0 * support_values(a, sweep_dirs) / support_values(b, sweep_dirs)

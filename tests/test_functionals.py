@@ -243,9 +243,9 @@ def test_cached_gauge_matches_one_lp_per_point(monkeypatch, dim):
             assert solved == 0 and np.isfinite(values).all()
         else:
             # Each cached facet came from an LP or a walk, most points take
-            # neither, and a full-dimensional body's walks answer some.
+            # no LP, and a full-dimensional body's walks answer some.
             assert evaluate.solved == solved < points.shape[0] // 2
-            assert evaluate.inverses.shape[0] // dim <= evaluate.solved + evaluate.walks
+            assert evaluate.inverses.shape[0] <= evaluate.solved + evaluate.walks
             assert evaluate.walks > 0
     assert np.isinf(_GaugeEvaluator(bodies[1])(-np.eye(dim))).all()
 
@@ -277,8 +277,8 @@ def test_walk_off_the_cone_answers_inf_like_the_lp(monkeypatch):
 
 @pytest.mark.parametrize("dim", [3, 4])
 def test_walk_free_path_gives_the_same_gauges(monkeypatch, dim):
-    # With the pivot cap at 0 every point no cached cone holds takes an LP,
-    # as before the walk; both paths return certified polar vertices.
+    # With the pivot cap at 0 every point takes an LP, as before the walk;
+    # both paths return certified polar vertices.
     rng = np.random.default_rng(10 + dim)
     p = random_polytope(rng, dim)
     for body in (difference_hull(p), p):

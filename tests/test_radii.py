@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -705,6 +706,19 @@ def test_chain_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
         radii_report(SQUARE, TRIANGLE, quantities=(), tol=tol)
 
 
+def test_report_rejects_a_bad_tolerance_before_any_quantity(monkeypatch):
+    # The chain's tol is checked before R, r, D and omega are computed.
+    rng = np.random.default_rng(3)
+    k = VPolytope(rng.normal(size=(30, 4)))
+    c = rng.normal(size=(30, 4))
+    calls = []
+    monkeypatch.setattr(radii, "_containment", lambda *args: calls.append(args))
+    monkeypatch.setattr(lp_solver, "solve", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="finite and positive"):
+        radii_report(k, VPolytope(c - c.mean(axis=0)), tol=math.nan)
+    assert calls == []
+
+
 def test_chain_degenerates_to_zero_for_singleton_body():
     report = verify_chain(VPolytope([[3.0, -1.0]]), TRIANGLE, tol=1e-6)
     assert report.a1 == report.a2 == report.a3 == report.a4 == report.a5 == 0.0
@@ -895,6 +909,21 @@ def test_spatial_chain_walks_between_facets_instead_of_solving_lps(monkeypatch):
     assert len(calls) <= 20
 
 
+def test_spatial_chain_stays_within_its_memory_bound():
+    # Every gauge batch walks in waves of at most _WAVE_CELLS cells per
+    # product, so no product spans points x facets x d (over 30 MB here).
+    rng = np.random.default_rng(3)
+    k = VPolytope(rng.normal(size=(30, 4)))
+    c = rng.normal(size=(30, 4))
+    tracemalloc.start()
+    try:
+        assert verify_chain(k, VPolytope(c - c.mean(axis=0))).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
+
+
 def _recorded_evaluators(monkeypatch):
     """Every gauge evaluator built from here on, in order."""
     built = []
@@ -937,9 +966,9 @@ def test_spatial_diameter_evaluates_all_pairs_in_one_call(monkeypatch):
 
 
 def test_spatial_chain_walks_in_waves_within_the_cell_budget(monkeypatch):
-    # The uncovered rows of a call walk together, so waves are far fewer
-    # than walked rows, each wave's per-pivot products stay in budget, and
-    # the facets that several rows of a wave reach are cached once.
+    # The rows of a call walk together, so waves are far fewer than walked
+    # rows, each wave's per-pivot products stay in budget, and the facets
+    # that several rows or waves reach are cached once.
     rng = np.random.default_rng(3)
     k = VPolytope(rng.normal(size=(30, 4)))
     c = rng.normal(size=(30, 4))

@@ -504,7 +504,7 @@ class _GaugeEvaluator:
             size = lanes if self.bases.size else 1  # a body's first point takes the LP alone
             wave, waiting = waiting[:size], waiting[size:]
             self.waves += 1
-            values[wave], normals[wave], bases, moved = self._walk(points[wave])
+            values[wave], normals[wave], bases = self._walk(points[wave])
             unwalked = np.flatnonzero(np.isnan(values[wave]))
             self.walks += wave.size - unwalked.size
             self.solved += unwalked.size
@@ -512,12 +512,10 @@ class _GaugeEvaluator:
                 values[wave[j]], normal, basis = self.lp(points[wave[j]])
                 if basis is not None:
                     normals[wave[j]], bases[j] = normal, basis
-            moved[unwalked] = True
-            self._cache(bases[moved & np.isfinite(values[wave])])
+            self._cache(bases[np.isfinite(values[wave])])
         return values, normals
 
-    def _walk(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                                 np.ndarray, np.ndarray]:
+    def _walk(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The gauge LP's answers for a wave of rows by one batched dual
         simplex (Lemke 1954), each row started at the cached facet with the
         largest y_f.x.  Each basis B keeps 1 - a_j.y >= 0 at y = B^-T 1; at
@@ -529,18 +527,18 @@ class _GaugeEvaluator:
         or with inf when its leaving row has no negative entry (x is off the
         cone), or with nan, to take the LP, where rounding has broken the
         certificate, at a singular basis, or uncertified after _WALK_PIVOTS
-        pivots; every row gets nan when no facet is cached or _WALK_PIVOTS
-        is 0.  A stopped row keeps its basis: rows are classified once.
+        pivots; every row gets nan when no facet is cached.  A stopped row
+        keeps its basis: rows are classified once.
 
-        Returns the values, the normals B^-T 1 (nan where there is none),
-        each row's last basis, the one to cache where the value is finite,
-        and whether that basis has left the row's start facet.
+        Returns the values, the normals B^-T 1 (nan where there is none)
+        and each row's last basis, the one to cache where the value is
+        finite.
         """
         count, d = points.shape
         values = np.full(count, np.nan)
         normals = np.full((count, d), np.nan)
-        if not self.bases.size or not _WALK_PIVOTS:
-            return values, normals, np.zeros((count, d), dtype=int), np.zeros(count, dtype=bool)
+        if not self.bases.size:
+            return values, normals, np.zeros((count, d), dtype=int)
         start = (points @ self.normals.T).argmax(axis=1)
         basis, inverse = self.bases[start], self.inverses[start]
         x, rows = points * self.lp.scale, np.arange(count)
@@ -573,7 +571,7 @@ class _GaugeEvaluator:
         values[done] = np.maximum(weights[done].sum(axis=1), 0.0)
         normals[done] = y[done] * self.lp.scale
         values[~optimal & ~stuck] = np.inf
-        return values, normals, basis, (basis != self.bases[start]).any(axis=1)
+        return values, normals, basis
 
     def _cache(self, bases: np.ndarray) -> None:
         """Cache the facets among optimal ``bases`` whose d columns are vertex

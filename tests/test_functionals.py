@@ -225,6 +225,33 @@ def _assert_cache_matches_gauge_lps(monkeypatch, body, points):
     return cached, len(calls), evaluate
 
 
+def _record_walks(monkeypatch):
+    """Wrap ``_GaugeEvaluator._walk``; for each call, append the evaluator,
+    the walked values and whether each row's basis left the cached facet it
+    started from (the one with the largest y_f.x), i.e. took a pivot."""
+    walked = []
+    walk = _GaugeEvaluator._walk
+
+    def recorded(evaluate, points):
+        start = None
+        if evaluate.bases.size:
+            start = evaluate.bases[(points @ evaluate.normals.T).argmax(axis=1)]
+        values, normals, bases = walk(evaluate, points)
+        moved = np.zeros(points.shape[0], dtype=bool) if start is None else (bases != start).any(axis=1)
+        walked.append((evaluate, values, moved))
+        return values, normals, bases
+
+    monkeypatch.setattr(_GaugeEvaluator, "_walk", recorded)
+    return walked
+
+
+def _pivoted(walked, evaluate, certified=True):
+    """Rows of ``evaluate`` that left their start facet, counting only those
+    a walk certified with a finite gauge unless ``certified`` is False."""
+    return sum(int((moved & (np.isfinite(values) if certified else True)).sum())
+               for owner, values, moved in walked if owner is evaluate)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_cached_gauge_matches_one_lp_per_point(monkeypatch, dim):
     rng = np.random.default_rng(dim)
@@ -235,6 +262,7 @@ def test_cached_gauge_matches_one_lp_per_point(monkeypatch, dim):
         bodies.append(VPolytope(p.vertices - p.vertices.mean(axis=0)))
         bodies.append(difference_hull(p))
         bodies.append(p)  # the origin need not be interior: inf off the cone
+    walked = _record_walks(monkeypatch)
     for body in bodies:
         points = _probe_points(rng, body.vertices)
         values, solved, evaluate = _assert_cache_matches_gauge_lps(monkeypatch, body, points)
@@ -242,11 +270,13 @@ def test_cached_gauge_matches_one_lp_per_point(monkeypatch, dim):
             # A planar body with the origin interior: its facets, no LP.
             assert solved == 0 and np.isfinite(values).all()
         else:
-            # Each cached facet came from an LP or a walk, most points take
-            # no LP, and a full-dimensional body's walks answer some.
+            # Each cached facet came from an LP or a walk that pivoted off
+            # its start facet, most points take no LP, and a full-dimensional
+            # body's walks answer some after pivoting.
+            pivoted = _pivoted(walked, evaluate)
             assert evaluate.solved == solved < points.shape[0] // 2
-            assert evaluate.inverses.shape[0] <= evaluate.solved + evaluate.walks
-            assert evaluate.walks > 0
+            assert evaluate.inverses.shape[0] <= evaluate.solved + pivoted
+            assert pivoted > 0
     assert np.isinf(_GaugeEvaluator(bodies[1])(-np.eye(dim))).all()
 
 
@@ -277,10 +307,13 @@ def test_walk_off_the_cone_answers_inf_like_the_lp(monkeypatch):
 
 @pytest.mark.parametrize("dim", [3, 4])
 def test_walk_free_path_gives_the_same_gauges(monkeypatch, dim):
-    # With the pivot cap at 0 every point takes an LP, as before the walk;
-    # both paths return certified polar vertices.
+    # With the pivot cap at 0 no walk pivots: a point that its start
+    # facet's cone holds stops there, as one off the cone may with inf, and
+    # every other point takes an LP; both paths return certified polar
+    # vertices.
     rng = np.random.default_rng(10 + dim)
     p = random_polytope(rng, dim)
+    walked = _record_walks(monkeypatch)
     for body in (difference_hull(p), p):
         points = _probe_points(rng, body.vertices)
         walking = _GaugeEvaluator(body)
@@ -289,7 +322,8 @@ def test_walk_free_path_gives_the_same_gauges(monkeypatch, dim):
             m.setattr(convex_core, "_WALK_PIVOTS", 0)
             plain = _GaugeEvaluator(body)
             plain_values, plain_normals = plain.with_normals(points)
-        assert walking.walks > 0 and plain.walks == 0
+        assert _pivoted(walked, walking) > 0 and plain.walks > 0
+        assert _pivoted(walked, plain, certified=False) == 0
         assert walking.solved < plain.solved
         assert (np.isinf(values) == np.isinf(plain_values)).all()
         finite = np.isfinite(values)
@@ -301,15 +335,16 @@ def test_walk_free_path_gives_the_same_gauges(monkeypatch, dim):
 
 
 def test_walk_capped_at_one_pivot_leaves_the_rest_to_the_lp(monkeypatch):
-    # With one pivot allowed, rows certified within it leave the wave by
-    # walk and the others take the LP on their own, all with the LP's values.
+    # With one pivot allowed, rows certified on it leave the wave by walk
+    # and the others take the LP on their own, all with the LP's values.
     rng = np.random.default_rng(3)
     body = difference_hull(VPolytope(rng.normal(size=(30, 4))))
     points = rng.normal(size=(150, 4))
     monkeypatch.setattr(convex_core, "_WALK_PIVOTS", 1)
+    walked = _record_walks(monkeypatch)
     evaluate = _GaugeEvaluator(body)
     values, normals = evaluate.with_normals(points)
-    assert evaluate.walks > 0 and evaluate.solved > 1 and evaluate.waves > 0
+    assert _pivoted(walked, evaluate) > 0 and evaluate.solved > 1 and evaluate.waves > 0
     lp = _GaugeLP(body.vertices)
     direct = np.array([lp(p)[0] for p in points])
     np.testing.assert_allclose(values, direct, rtol=1e-12, atol=0.0)

@@ -345,10 +345,11 @@ def member(p: VPolytope, x, tol: float = EPS_LP) -> bool:
     """True iff x is a convex combination of the vertices, within tol.
 
     Solved as an elastic feasibility LP minimising the L1 residual of the
-    combination; LP failures propagate as RuntimeError.
+    combination; LP failures propagate as RuntimeError.  ``tol`` must be
+    finite and non-negative.
     """
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     target = _as_vector(x, p.dim)
     n, d = p.vertices.shape
     # Variables: convex weights, then positive/negative residual parts.
@@ -609,27 +610,6 @@ class _GaugeEvaluator:
         if top < np.inf:
             top = max(top, float(self(axes[1:]).max()))
         return -1.0 if top == np.inf else 1.0 / top
-
-    def pairwise_maxima(self, points: np.ndarray) -> np.ndarray:
-        """For each row v_i of ``points``, max over rows v_j of gauge(v_j - v_i)
-        for a body symmetric about the origin, over j > i only off the plane;
-        the overall maximum and the first row attaining it are the same.
-
-        In the plane the two maxima swap: with P = V @ polar,
-        max_j max_f (P[j, f] - P[i, f]) is a support-function difference per
-        polar vertex, so one n x F product replaces n rows of n x F gauge
-        evaluations.  The points are centred first, as differences are, so
-        the products do not carry their offset.  Any other body evaluates
-        the pairs i < j in one batch through the facet cache.
-        """
-        if self.polar_vertices is not None:
-            products = (points - points.mean(axis=0)) @ self.polar_vertices
-            np.subtract(products.max(axis=0), products, out=products)
-            return np.maximum(products.max(axis=1), 0.0)
-        rows, later = np.triu_indices(points.shape[0], 1)
-        maxima = np.zeros(points.shape[0])
-        np.maximum.at(maxima, rows, self(points[later] - points[rows]))
-        return maxima
 
 
 def interior_slack(p: VPolytope, point) -> float:

@@ -10,9 +10,11 @@ the outer body supplies the facets the master's solution violates.  In the
 plane every facet is known at the start, so one master solve suffices;
 flat bodies are restricted to their affine hull first.  Gauges are read
 off the facets in the plane and off the facet cones their LPs have met
-elsewhere.  The planar diameter and the chain's pair-gauge member swap the
-maximum over vertex pairs for one over the gauge's polar vertices
-p_f = n_f / b_f: sup_{i,j} gauge(v_j - v_i) = max_f (h_K(p_f) + h_K(-p_f)).
+elsewhere.  The planar diameter swaps the maximum over vertex pairs for
+one over the gauge's polar vertices p_f = n_f / b_f:
+sup_{i,j} gauge(v_j - v_i) = max_f (h_K(p_f) + h_K(-p_f)); off the plane
+its pairs are one batched gauge, and the chain's pair-gauge member is one
+gauge of C at the vertices of K-K.
 The polar vertex attaining the diameter certifies the chain's support-ratio
 member in every dimension, with no sampled directions.
 Minimum width inscribes C-C in K-K, and an interior point is the centre of
@@ -230,8 +232,9 @@ def _containment(program: str, k: VPolytope, c: VPolytope,
 
 
 def _flat_rank(points: np.ndarray) -> tuple[int, np.ndarray]:
-    """Rank of the rows up to 1e-12 of their size, and their right singular vectors."""
-    _, singular, vt = np.linalg.svd(points, full_matrices=False)
+    """Rank of the rows up to 1e-12 of their size, and all d right singular
+    vectors; U is full only for fewer rows than columns, so never n x n."""
+    _, singular, vt = np.linalg.svd(points, full_matrices=points.shape[0] < points.shape[1])
     return int(np.count_nonzero(singular > 1e-12 * np.abs(points).max())), vt
 
 
@@ -341,7 +344,8 @@ def diameter(k: VPolytope, c: VPolytope) -> RadiiResult:
 
     The supremum over the hull is attained on vertex pairs; the witness is
     the lexicographically first attaining index pair of the vertex list.
-    In the plane the pair maximum is swapped with the facet maximum: with
+    Off the plane the pairs i < j are one batched gauge of (C-C)/2.  In the
+    plane the pair maximum is swapped with the facet maximum: with
     p_f = n_f / b_f the polar vertices of (C-C)/2,
     D = max_f (h_K(p_f) + h_K(-p_f)), the widest strip between parallel
     supporting lines of K measured in the gauge, read off one n x F product.
@@ -357,30 +361,37 @@ def _diameter(k: VPolytope, half: GaugeBody) -> tuple[float, tuple[int, int],
     (C-C)/2 at v_j - v_i, or None when K has one vertex.
 
     y*.w <= 1 on every vertex w of (C-C)/2 and y*.(v_j - v_i) = D, so
-    2 h_{K-K}(y*) / h_{C-C}(y*) >= D: y* is D's dual certificate.
+    2 h_{K-K}(y*) / h_{C-C}(y*) >= D: y* is D's dual certificate.  The
+    gauge is symmetric, so the pairs i < j suffice.  Off the plane they are
+    one batched gauge, which gives D, the first attaining pair in row-major
+    order and its y*.  In the plane one n x F product of the centred
+    vertices with the polar vertices gives each row's maximum (see
+    ``diameter``), and the first attaining row is evaluated again for its
+    pair and y*.
     """
     verts = k.vertices
     if verts.shape[0] == 1:
         return 0.0, (0, 0), None
-    # The gauge of (C-C)/2 is symmetric, so the first row attaining the
-    # maximum has an attaining partner after it; that row is evaluated again
-    # for its first attaining column and that column's polar vertex.
-    row_max = half._evaluate.pairwise_maxima(verts)
+    evaluate = half._evaluate
+    if evaluate.polar_vertices is None:
+        rows, later = np.triu_indices(verts.shape[0], 1)
+        values, normals = evaluate.with_normals(verts[later] - verts[rows])
+        top = float(values.max())
+        first = int(np.argmax(values >= _tie_floor(top)))
+        return top, (int(rows[first]), int(later[first])), normals[first]
+    products = (verts - verts.mean(axis=0)) @ evaluate.polar_vertices
+    np.subtract(products.max(axis=0), products, out=products)
+    row_max = products.max(axis=1)  # >= 0: each column's max less its entries
+    del products  # so the row's gauges below are the only other n x F array
     top = float(row_max.max())
     i = int(np.argmax(row_max >= _tie_floor(top)))
-    values, polar = half._evaluate.with_normals(verts[i + 1:] - verts[i])
+    values, polar = evaluate.with_normals(verts[i + 1:] - verts[i])
     j = int(np.argmax(values >= _tie_floor(top)))
-    return max(0.0, top), (i, i + 1 + j), polar[j]
+    return top, (i, i + 1 + j), polar[j]
 
 
 # ---------------------------------------------------------------------------
 # minimum width
-
-
-def _degenerate_direction(diff: VPolytope) -> np.ndarray:
-    """A unit direction in which a lower-dimensional difference body is flat."""
-    _, _, vt = np.linalg.svd(diff.vertices, full_matrices=True)
-    return vt[-1]
 
 
 def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
@@ -392,7 +403,8 @@ def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
     the facet closed form gives the value and the witness, the facet normal
     of K-K with the least ratio.  Off the plane the gauges are one batched
     evaluation, and the witness is the unit polar vertex of K-K attaining
-    the largest gauge: its support ratio is the width.
+    the largest gauge: its support ratio is the width.  A flat K-K has
+    width 0 along the normal of its span from the SVD that finds its rank.
     """
     _check_dims(k, c)
     a = difference_hull(k)
@@ -407,8 +419,9 @@ def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
 
     if _flat_rank(b.vertices)[0] < d:
         raise ValueError("diameter/width need a full-dimensional gauge body")
-    if _flat_rank(a.vertices)[0] < d:
-        return RadiiResult("omega", 0.0, direction=_degenerate_direction(a))
+    rank, vt = _flat_rank(a.vertices)
+    if rank < d:
+        return RadiiResult("omega", 0.0, direction=vt[-1])
 
     # The origin vertex of C-C imposes no constraint.
     nonzero = np.linalg.norm(b.vertices, axis=1) > 1e-12 * _extent(b)
@@ -581,10 +594,14 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
 
 def radii_report(k: VPolytope, c: VPolytope, quantities=("R", "r", "D", "omega"),
                  chain: bool = True, tol: float = 1e-6) -> dict:
-    """All requested quantities plus the chain report, in stable key order;
-    the chain's ``tol`` is checked first."""
+    """The ``quantities`` named (any of R, r, D and omega) plus the chain
+    report, in stable key order.  Other names and a bad chain ``tol`` are
+    rejected before anything is computed."""
     if chain:
         _check_tol(tol)
+    unknown = [name for name in quantities if name not in ("R", "r", "D", "omega")]
+    if unknown:
+        raise ValueError(f"unknown quantities {unknown}: expected R, r, D or omega")
     report: dict = {}
     if "R" in quantities:
         report["R"] = circumradius(k, c).to_dict()

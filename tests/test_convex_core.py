@@ -328,6 +328,17 @@ def test_member_tolerance_band():
     assert member(tri, nudged, tol=1e-4)
 
 
+@pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf])
+def test_member_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
+    # nan would reject the square's centre and inf accept any point.
+    square = VPolytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        member(square, [0.5, 0.5], tol=tol)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        member(square, [5.0, 5.0], tol=tol)
+    assert member(square, [0.5, 0.5], tol=0.0)
+
+
 def test_interior_point_examples():
     assert np.allclose(interior_point(SQUARE), [0.0, 0.0], atol=1e-9)
     assert np.allclose(interior_point(TRIANGLE), [0.0, 0.0], atol=1e-9)

@@ -353,6 +353,50 @@ def test_walk_capped_at_one_pivot_leaves_the_rest_to_the_lp(monkeypatch):
     assert (body.vertices @ normals.T).max() <= 1.0 + 1e-12
 
 
+def test_walk_inverts_lane_by_lane_at_a_singular_stack(monkeypatch):
+    # When the stacked inverse of a pivot's new bases fails, each lane is
+    # inverted on its own; a lane whose own inverse fails too hands its
+    # point to the LP, and the other lanes walk on to the LP's values.
+    rng = np.random.default_rng(3)
+    body = difference_hull(VPolytope(rng.normal(size=(8, 3))))
+    points = rng.normal(size=(60, 3))
+    lp = _GaugeLP(body.vertices)
+    direct = np.array([lp(p)[0] for p in points])
+    solved = []
+    call = _GaugeLP.__call__
+    monkeypatch.setattr(_GaugeLP, "__call__", lambda lp, x: solved.append(x) or call(lp, x))
+    _GaugeEvaluator(body)(points)
+    plain = [tuple(x) for x in solved]
+
+    inv, walk, walking, stacks, lanes = np.linalg.inv, _GaugeEvaluator._walk, [], [], []
+
+    def singular(a):
+        if walking and (a.ndim == 3 or not lanes):
+            (stacks if a.ndim == 3 else lanes).append(a.shape)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
+
+    def recorded(evaluate, wave):
+        walking.append(True)
+        try:
+            return walk(evaluate, wave)
+        finally:
+            walking.pop()
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    monkeypatch.setattr(_GaugeEvaluator, "_walk", recorded)
+    solved.clear()
+    evaluate = _GaugeEvaluator(body)
+    values, normals = evaluate.with_normals(points)
+    assert stacks and lanes == [(3, 3)]
+    extra = [tuple(x) for x in solved if tuple(x) not in plain]
+    assert len(extra) == 1 and len(solved) == len(plain) + 1 == evaluate.solved
+    np.testing.assert_allclose(values, direct, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(np.einsum("ij,ij->i", normals, points), values,
+                               rtol=1e-12, atol=1e-12)
+    assert (body.vertices @ normals.T).max() <= 1.0 + 1e-12
+
+
 def test_flat_body_keeps_one_lp_per_point_and_inf_off_its_cone(monkeypatch):
     rng = np.random.default_rng(5)
     triangle = VPolytope([[1.0, 0.0, 0.0], [-0.5, 1.0, 0.0], [-0.5, -1.0, 0.0]])

@@ -430,6 +430,25 @@ def test_min_width_rejects_degenerate_gauge():
         min_width(make_body(BodySpec("cube", dim=3)), seg3)
 
 
+def test_flat_min_width_takes_one_thin_svd():
+    # K - K has 3 541 points here.  The rank and the flat direction come
+    # from one SVD whose left factor is 3 541 x 3, not 3 541 x 3 541
+    # (100 MB).
+    rng = np.random.default_rng(5)
+    plane = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    k = VPolytope(rng.normal(size=(60, 2)) @ plane[:, :2].T + [1.0, -2.0, 0.5])
+    assert len(difference_hull(k)) == 3541
+    tracemalloc.start()
+    try:
+        res = min_width(k, make_body(BodySpec("cube", dim=3)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.value == 0.0
+    assert abs(res.direction @ plane[:, 2]) == pytest.approx(1.0, abs=1e-12)
+    assert peak <= 10e6
+
+
 def test_planar_min_width_enumerates_only_the_facets_of_k_minus_k(monkeypatch):
     # C - C is a hull already, so its vertex count settles flatness.
     seen = []
@@ -719,6 +738,18 @@ def test_report_rejects_a_bad_tolerance_before_any_quantity(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("quantities", [("R", "diam"), "Romega", ("omega", "w")])
+def test_report_rejects_an_unknown_quantity_before_any_quantity(monkeypatch, quantities):
+    # A misspelt name is an error, not a silently missing key, and a string
+    # is a sequence of one-letter names, not a set of substrings.
+    calls = []
+    monkeypatch.setattr(radii, "_containment", lambda *args: calls.append(args))
+    monkeypatch.setattr(lp_solver, "solve", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="unknown quantities"):
+        radii_report(SQUARE, TRIANGLE, quantities=quantities)
+    assert calls == []
+
+
 def test_chain_degenerates_to_zero_for_singleton_body():
     report = verify_chain(VPolytope([[3.0, -1.0]]), TRIANGLE, tol=1e-6)
     assert report.a1 == report.a2 == report.a3 == report.a4 == report.a5 == 0.0
@@ -939,17 +970,18 @@ def _recorded_evaluators(monkeypatch):
 
 def test_spatial_diameter_evaluates_all_pairs_in_one_call(monkeypatch):
     # Off the plane the vertex pairs i < j are one batch through the facet
-    # cache, not one evaluator call per vertex row (30 here).
+    # cache, not one evaluator call per vertex row (30 here), and D, its
+    # pair and y* are all read from that batch: no row is evaluated again.
     rng = np.random.default_rng(3)
     k = VPolytope(rng.normal(size=(30, 4)))
     c = rng.normal(size=(30, 4))
     calls, inside = [], []
-    pairwise, with_normals = _GaugeEvaluator.pairwise_maxima, _GaugeEvaluator.with_normals
+    pairs, with_normals = radii._diameter, _GaugeEvaluator.with_normals
 
-    def pairwise_recorded(evaluate, *args, **kwargs):
+    def pairs_recorded(*args):
         inside.append(True)
         try:
-            return pairwise(evaluate, *args, **kwargs)
+            return pairs(*args)
         finally:
             inside.pop()
 
@@ -958,7 +990,7 @@ def test_spatial_diameter_evaluates_all_pairs_in_one_call(monkeypatch):
             calls.append(np.atleast_2d(points).shape[0])
         return with_normals(evaluate, points)
 
-    monkeypatch.setattr(_GaugeEvaluator, "pairwise_maxima", pairwise_recorded)
+    monkeypatch.setattr(radii, "_diameter", pairs_recorded)
     monkeypatch.setattr(_GaugeEvaluator, "with_normals", with_normals_recorded)
     res = diameter(k, VPolytope(c - c.mean(axis=0)))
     assert res.value == pytest.approx(3.659835911862138, rel=1e-12)

@@ -371,6 +371,13 @@ def _extent(p: VPolytope) -> float:
     return float(np.ptp(p.vertices, axis=0).max()) or 1.0
 
 
+def _flat_rank(points: np.ndarray) -> tuple[int, np.ndarray]:
+    """Rank of the rows up to 1e-12 of their size, and all d right singular vectors."""
+    # U is full only for fewer rows than columns, so never n x n.
+    _, singular, vt = np.linalg.svd(points, full_matrices=points.shape[0] < points.shape[1])
+    return int(np.count_nonzero(singular > 1e-12 * np.abs(points).max())), vt
+
+
 def _power_of_two_scale(peak: float) -> float:
     """The power of two that brings ``peak`` within 2**±4 of 1.
 
@@ -452,17 +459,21 @@ class _GaugeEvaluator:
     with the largest y_f.x, in waves (``_walk``), and stops there when its
     cone holds it; the first point, or one whose walk stops short, takes a
     gauge LP.  Each facet is cached once.  The gauge is inf off the cone
-    of the vertices; there nothing is cached, nor from a flat body, whose
-    LP basis keeps an artificial column.
+    of the vertices.  A flat body (``_flat_rank`` 1..d-1) has gauge inf off its
+    span V_r; an inner evaluator of V_r^T v answers V_r^T x, and y maps to V_r y.
     """
 
     def __init__(self, body: VPolytope):
         self.body, self.dim = body, body.dim
-        self.facets = None
-        self.polar_vertices = None
+        self.facets = self.polar_vertices = self.span = None
+        rank, vt = _flat_rank(body.vertices)
+        if 0 < rank < body.dim:  # flat: V_r, orthonormal, and the evaluator on it
+            self.span = vt[:rank].T
+            self.inner = _GaugeEvaluator(VPolytope(body.vertices @ self.span))
+            return
         if body.dim == 2:
             f = facets_2d(body)
-            if not f.lower_dimensional and (f.offsets > 0.0).all():
+            if (f.offsets > 0.0).all():
                 self.facets = f
                 self.polar_vertices = (f.normals / f.offsets[:, None]).T
                 return
@@ -492,6 +503,14 @@ class _GaugeEvaluator:
         LPs reached are cached, and later waves start from them.
         """
         points = np.atleast_2d(points)
+        if self.span is not None:
+            local = points @ self.span
+            inside = (np.abs(points - local @ self.span.T).max(axis=1)  # _flat_rank's rule
+                      <= 1e-12 * np.abs(points).max(axis=1))
+            values, normals = np.full(points.shape[0], np.inf), np.full(points.shape, np.nan)
+            values[inside], polar = self.inner.with_normals(local[inside])
+            normals[inside] = polar @ self.span.T
+            return values, normals
         if self.polar_vertices is not None:
             products = points @ self.polar_vertices
             best = products.argmax(axis=1)
@@ -578,6 +597,7 @@ class _GaugeEvaluator:
         """Cache the facets among optimal ``bases`` whose d columns are vertex
         columns with a condition number within _BASIS_COND and that no cached
         or earlier basis spans, with their inverses."""
+        # lp_solver can park an artificial on a dependent row (LpOutcome): no facet.
         bases = bases[(bases < self.columns.shape[0]).all(axis=1)]
         if not bases.size:
             return
@@ -599,7 +619,7 @@ class _GaugeEvaluator:
     def slack(self) -> float:
         """1 / max_k gauge(±e_k): the largest rho with ±rho e_k in the body
         for every axis k, min_f b_f / |n_f|_inf in the plane.  -1 when the
-        origin is not interior: a planar body then has a facet offset <= 0,
+        origin is not interior: a planar body then has no polar vertices,
         and elsewhere some ±e_k leaves the cone, gauge inf.  The first axis
         is evaluated alone, so an origin off the cone of the vertices costs
         one LP; the other 2d - 1 axes are one batch."""

@@ -42,6 +42,7 @@ from .convex_core import (
     _as_vector,
     _column_scales,
     _extent,
+    _flat_rank,
     _interior_margin,
     _power_of_two_scale,
     difference_hull,
@@ -162,19 +163,18 @@ class _Frame:
     """The outer body of the containment engine in the engine's coordinates.
 
     Its vertices are translated by -``shift``, their centroid, and restricted
-    to their affine hull, flat up to rounding of its own size as in hull_2d:
-    the columns of ``hull`` are its axes (the identity, which is exact, when
-    it is all of space), and each axis is scaled by the power of two in
-    ``scales``.  ``extent`` is the largest entry of the translated vertices,
-    and ``evaluate`` the gauge evaluator of the framed vertices, None when
-    the hull is a point.
+    to their affine hull, flat by the rule of ``_flat_rank``: the columns of
+    ``hull`` are its axes (the identity, which is exact, when it is all of
+    space), and each axis is scaled by the power of two in ``scales``.
+    ``extent`` is the largest entry of the translated vertices, and
+    ``evaluate`` the gauge evaluator of the framed vertices, None when the
+    hull is a point.
     """
 
     shift: np.ndarray
     hull: np.ndarray
     scales: np.ndarray
     extent: float
-    vertices: np.ndarray
     evaluate: _GaugeEvaluator | None
 
 
@@ -191,7 +191,7 @@ def _frame(outer: VPolytope, known: _GaugeEvaluator | None = None) -> _Frame:
     vertices = centred @ hull * scales
     if known is None or not np.array_equal(known.body.vertices, vertices):
         known = _GaugeEvaluator(VPolytope(vertices)) if rank else None
-    return _Frame(shift, hull, scales, float(np.abs(centred).max()), vertices, known)
+    return _Frame(shift, hull, scales, float(np.abs(centred).max()), known)
 
 
 def _containment(program: str, k: VPolytope, c: VPolytope,
@@ -224,21 +224,21 @@ def _containment(program: str, k: VPolytope, c: VPolytope,
     inner = inner @ hull * frame.scales
     # R(aK, C) = a R(K, C) with centre a x; r(K, aC) = r(K, C) / a, same centre.
     a = _power_of_two_scale(float(np.abs(inner).max(initial=0.0)))
-    lam, x = (_facet_generation(program, a * inner, frame.vertices, frame.evaluate)
+    lam, x = (_facet_generation(program, a * inner, frame.evaluate)
               if hull.shape[1] else (0.0, np.zeros(0)))
     lam, x = (lam / a, x / a) if circum else (lam * a, x)
     center = k_shift + hull @ (x / frame.scales) - lam * c_shift
     return RadiiResult("R" if circum else "r", lam, center=center)
 
 
-def _flat_rank(points: np.ndarray) -> tuple[int, np.ndarray]:
-    """Rank of the rows up to 1e-12 of their size, and all d right singular
-    vectors; U is full only for fewer rows than columns, so never n x n."""
-    _, singular, vt = np.linalg.svd(points, full_matrices=points.shape[0] < points.shape[1])
-    return int(np.count_nonzero(singular > 1e-12 * np.abs(points).max())), vt
+def _require_finite(values: np.ndarray, program: str) -> None:
+    """RuntimeError where ``program`` has given inf for a gauge that is finite."""
+    if not np.isfinite(values).all():
+        raise RuntimeError(f"{program} is infeasible at "
+                           f"{np.count_nonzero(np.isinf(values))} of {values.size} points")
 
 
-def _facet_generation(program: str, inner: np.ndarray, outer: np.ndarray,
+def _facet_generation(program: str, inner: np.ndarray,
                       evaluate: _GaugeEvaluator) -> tuple[float, np.ndarray]:
     """Kelley's cutting planes on the support-function containment program.
 
@@ -254,11 +254,11 @@ def _facet_generation(program: str, inner: np.ndarray, outer: np.ndarray,
     is within 1e-9 max(1, lambda) of the master's.  In the plane every facet
     is a cut from the start, so the first oracle call ends the loop; off the
     plane R starts with no cut and r with the bounding box of K, which keeps
-    its master bounded.
+    its master bounded.  The outer body is ``evaluate.body``.
     """
     circum = program == "circumradius"
-    d = outer.shape[1]
-    inner_body, outer_body = VPolytope(inner), VPolytope(outer)
+    d, outer = evaluate.dim, evaluate.body.vertices
+    inner_body, outer_body = VPolytope(inner), evaluate.body
     if evaluate.facets is not None:
         normals, offsets = evaluate.facets.normals, evaluate.facets.offsets
     elif circum:
@@ -290,9 +290,7 @@ def _facet_generation(program: str, inner: np.ndarray, outer: np.ndarray,
             lam, x = max(0.0, sign * out.value), sign * out.duals[:d] * scale
         points = inner - x if circum else x + lam * inner
         values, polar = evaluate.with_normals(points)
-        if not np.isfinite(values).all():
-            raise RuntimeError(f"{master}: the oracle's gauge LP is infeasible at "
-                               f"{np.count_nonzero(np.isinf(values))} of {values.size} points")
+        _require_finite(values, f"{master}: the oracle's gauge LP")
         # The oracle's bound from each point: x + gauge * C covers v_j for R,
         # and (x, lambda) / gauge is feasible for r.
         gaps = values - lam if circum else lam - lam / np.maximum(values, 1.0)
@@ -376,6 +374,7 @@ def _diameter(k: VPolytope, half: GaugeBody) -> tuple[float, tuple[int, int],
     if evaluate.polar_vertices is None:
         rows, later = np.triu_indices(verts.shape[0], 1)
         values, normals = evaluate.with_normals(verts[later] - verts[rows])
+        _require_finite(values, f"diameter: the gauge LP of (C-C)/2 ({k.dim} x {len(half.body)})")
         top = float(values.max())
         first = int(np.argmax(values >= _tie_floor(top)))
         return top, (int(rows[first]), int(later[first])), normals[first]
@@ -411,14 +410,12 @@ def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
     b = difference_hull(c)
     d = k.dim
 
+    if _flat_rank(b.vertices)[0] < d:
+        raise ValueError("diameter/width need a full-dimensional gauge body")
     if d == 2:
-        if len(b) <= 2:  # b is a planar hull
-            raise ValueError("diameter/width need a full-dimensional gauge body")
         value, direction = _facet_width_2d(a, b)
         return RadiiResult("omega", value, direction=direction)
 
-    if _flat_rank(b.vertices)[0] < d:
-        raise ValueError("diameter/width need a full-dimensional gauge body")
     rank, vt = _flat_rank(a.vertices)
     if rank < d:
         return RadiiResult("omega", 0.0, direction=vt[-1])
@@ -426,6 +423,7 @@ def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
     # The origin vertex of C-C imposes no constraint.
     nonzero = np.linalg.norm(b.vertices, axis=1) > 1e-12 * _extent(b)
     values, normals = _GaugeEvaluator(a).with_normals(b.vertices[nonzero])
+    _require_finite(values, f"min_width: the gauge LP of K-K ({d} x {len(a)})")
     top = float(values.max())
     normal = normals[int(np.argmax(values >= _tie_floor(top)))]
     return RadiiResult("omega", 2.0 / top, direction=normal / np.linalg.norm(normal))

@@ -105,6 +105,34 @@ def oracle_axis_slack(p, point):
     return -res.fun
 
 
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("thickness", [1e-6, 1e-7, 1e-8])
+def test_thin_rotated_box_never_gives_an_infinite_diameter_or_zero_width(dim, thickness):
+    # The box is full-dimensional, so every gauge of (C-C)/2 = box and of
+    # K-K = 2 box is finite.  Each call matches linprog on the box's
+    # analytic facets n = ±Q e_k, b = s_k, or raises; it never returns inf
+    # or 0, which is what a false infeasible gauge LP (4-D, 1e-7) would give.
+    rotation = np.linalg.qr(np.random.default_rng(100).normal(size=(dim, dim)))[0]
+    cube = np.array(list(itertools.product((-1.0, 1.0), repeat=dim)))
+    s = np.r_[np.ones(dim - 1), thickness]
+    normals, offsets = np.vstack([rotation.T, -rotation.T]), np.r_[s, s]
+    # D(cube, box): least lambda with every difference of the cube in lambda box.
+    diffs = pairwise_differences(cube)
+    products, rows = (diffs @ normals.T).reshape(-1, 1), np.tile(offsets, len(diffs))
+    want_d = linprog([1.0], A_ub=-rows[:, None], b_ub=-products.ravel(), bounds=[(0, None)]).fun
+    # omega(box, cube): twice the largest t with t (C-C) in K-K = 2 box.
+    want_w = -2.0 * linprog([-1.0], A_ub=products, b_ub=2.0 * rows, bounds=[(0, None)]).fun
+    box = VPolytope(cube * s @ rotation.T)
+    for call, want in ((lambda: diameter(VPolytope(cube), box), want_d),
+                       (lambda: min_width(box, VPolytope(cube)), want_w)):
+        try:
+            value = call().value
+        except RuntimeError:
+            continue
+        assert 0.0 < value < np.inf
+        assert value == pytest.approx(want, rel=1e-7)
+
+
 def random_full_dim(rng, dim, lo=None, hi=9, min_slack=0.2):
     lo = dim + 1 if lo is None else lo
     while True:

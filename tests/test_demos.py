@@ -22,6 +22,8 @@ def test_demos_are_present():
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_PARENT, env.get("PYTHONPATH")]))
+    # The bar pyproject.toml sets for the tests: a RuntimeWarning is an error.
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

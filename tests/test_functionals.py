@@ -397,14 +397,15 @@ def test_walk_inverts_lane_by_lane_at_a_singular_stack(monkeypatch):
     assert (body.vertices @ normals.T).max() <= 1.0 + 1e-12
 
 
-def test_flat_body_keeps_one_lp_per_point_and_inf_off_its_cone(monkeypatch):
+def test_flat_body_is_evaluated_in_its_span_and_inf_off_its_cone(monkeypatch):
     rng = np.random.default_rng(5)
     triangle = VPolytope([[1.0, 0.0, 0.0], [-0.5, 1.0, 0.0], [-0.5, -1.0, 0.0]])
     points = np.vstack([_probe_points(rng, triangle.vertices),
                         rng.normal(size=(20, 2)) @ np.eye(2, 3)])
     values, solved, evaluate = _assert_cache_matches_gauge_lps(monkeypatch, triangle, points)
-    assert evaluate.inverses.shape[0] == 0
-    assert solved == points.shape[0]
+    # No more LPs than the triangle needs in its own plane, where the origin
+    # is interior: its polar vertices answer every point, with none.
+    assert evaluate.inner.polar_vertices is not None and solved == 0
     off_plane = points[:, 2] != 0.0
     assert off_plane.any() and np.isinf(values[off_plane]).all()
     assert np.isfinite(values[~off_plane]).all()
@@ -476,6 +477,39 @@ def test_max_chord_degenerate_direction():
     seg = VPolytope([[0.0, 0.0], [1.0, 0.0]])
     assert max_chord(seg, [0.0, 1.0]).value == pytest.approx(0.0, abs=1e-9)
     assert max_chord(seg, [1.0, 0.0]).value == pytest.approx(1.0, abs=1e-9)
+
+
+def test_max_chord_of_a_flat_body_off_the_plane_reads_its_span(monkeypatch):
+    # K - K of a flat K is evaluated in its span: one gauge LP's value per
+    # direction, through the origin and off it, and 0 off the span.  A span
+    # that is a plane is read off its polar vertices, with no LP.
+    rng = np.random.default_rng(17)
+    calls, solve = [], lp_solver.solve
+
+    def counted(lp, **kw):
+        calls.append(1)
+        return solve(lp, **kw)
+
+    for dim, rank in ((3, 2), (3, 1), (4, 3)):
+        basis = np.linalg.qr(rng.normal(size=(dim, dim)))[0][:, :rank]
+        flat = rng.normal(size=(7, rank)) @ basis.T
+        directions = np.vstack([rng.normal(size=(4, rank)) @ basis.T,
+                                rng.normal(size=(2, dim))])
+        for k in (VPolytope(flat - flat.mean(axis=0)), VPolytope(flat + rng.normal(size=dim))):
+            lp = _GaugeLP(difference_hull(k).vertices)
+            want = np.array([lp(u)[0] for u in directions])
+            calls.clear()
+            monkeypatch.setattr(lp_solver, "solve", counted)
+            got = np.array([max_chord(k, u).value for u in directions])
+            monkeypatch.undo()
+            assert np.isinf(want[-2:]).all() and (got[-2:] == 0.0).all()
+            np.testing.assert_allclose(got[:-2], 1.0 / want[:-2], rtol=1e-12, atol=0.0)
+            assert rank != 2 or not calls
+    # A body of one vertex has K - K the origin alone: every chord is 0.
+    assert max_chord(VPolytope([[1.0, 2.0, 3.0]]), [0.0, 0.0, 1.0]).value == 0.0
+    # A flat body, centred, is no gauge body.
+    with pytest.raises(GaugeError):
+        GaugeBody.from_polytope(VPolytope(flat - flat.mean(axis=0)))
 
 
 # ---------------------------------------------------------------------------

@@ -450,7 +450,7 @@ def test_flat_min_width_takes_one_thin_svd():
 
 
 def test_planar_min_width_enumerates_only_the_facets_of_k_minus_k(monkeypatch):
-    # C - C is a hull already, so its vertex count settles flatness.
+    # The rank of C - C settles its flatness, with no facets.
     seen = []
     facets_2d = radii.facets_2d
     monkeypatch.setattr(radii, "facets_2d", lambda p: seen.append(len(p)) or facets_2d(p))
@@ -1035,6 +1035,19 @@ def test_chain_builds_one_evaluator_per_vertex_array(monkeypatch):
     assert len(arrays) == len(set(arrays))
     centred = (c.vertices - c.vertices.mean(axis=0)).tobytes()
     assert arrays.count(centred) == 1
+
+
+def test_chain_of_a_flat_body_walks_in_its_span(monkeypatch):
+    # K - K of a flat K is evaluated in its own plane, so the chord sweep
+    # reads its polar vertices; one gauge LP per direction would be 1 591.
+    rng = np.random.default_rng(1)
+    plane = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    k = VPolytope(np.c_[rng.normal(size=(40, 2)), np.zeros(40)] @ plane.T)
+    calls = []
+    solve = lp_solver.solve
+    monkeypatch.setattr(lp_solver, "solve", lambda lp, **kw: calls.append(1) or solve(lp, **kw))
+    report = verify_chain(k, make_body(BodySpec("cube", dim=3)))
+    assert report.ok and len(calls) <= 10
 
 
 @pytest.mark.parametrize("length", [1e9, 4e9])

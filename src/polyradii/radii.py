@@ -46,7 +46,6 @@ from .convex_core import (
     _interior_margin,
     _power_of_two_scale,
     difference_hull,
-    facets_2d,
 )
 from .functionals import (
     FunctionalValue,
@@ -162,13 +161,13 @@ def inradius(k: VPolytope, c: VPolytope) -> RadiiResult:
 class _Frame:
     """The outer body of the containment engine in the engine's coordinates.
 
-    Its vertices are translated by -``shift``, their centroid, and restricted
-    to their affine hull, flat by the rule of ``_flat_rank``: the columns of
-    ``hull`` are its axes (the identity, which is exact, when it is all of
-    space), and each axis is scaled by the power of two in ``scales``.
-    ``extent`` is the largest entry of the translated vertices, and
-    ``evaluate`` the gauge evaluator of the framed vertices, None when the
-    hull is a point.
+    Its vertices are translated by -``shift``, their centroid or a centre
+    the caller knows, and restricted to their affine hull, flat by the rule
+    of ``_flat_rank``: the columns of ``hull`` are its axes (the identity,
+    which is exact, when it is all of space), and each axis is scaled by
+    the power of two in ``scales``.  ``extent`` is the largest entry of the
+    translated vertices, and ``evaluate`` the gauge evaluator of the framed
+    vertices, None when the hull is a point.
     """
 
     shift: np.ndarray
@@ -178,12 +177,13 @@ class _Frame:
     evaluate: _GaugeEvaluator | None
 
 
-def _frame(outer: VPolytope, known: _GaugeEvaluator | None = None) -> _Frame:
-    """The containment frame of the outer body ``outer``; it takes the
-    evaluator ``known`` when that was built on exactly its framed vertices
-    (a gauge body recentred at its centroid, say), so their facet cones are
-    shared."""
-    shift = outer.vertices.mean(axis=0)
+def _frame(outer: VPolytope, known: _GaugeEvaluator | None = None,
+           shift: np.ndarray | None = None) -> _Frame:
+    """The containment frame of ``outer`` about ``shift``, its vertex
+    centroid when None.  It takes the evaluator ``known`` when that was built
+    on exactly its framed vertices (a gauge body recentred at its centroid,
+    or a centred body about the origin, no axis scaled): they share cones."""
+    shift = outer.vertices.mean(axis=0) if shift is None else shift
     centred = outer.vertices - shift
     rank, vt = _flat_rank(centred)
     hull = np.eye(outer.dim) if rank == outer.dim else vt[:rank].T
@@ -398,12 +398,11 @@ def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
 
     Equal to twice the largest t with t*(C-C) inscribed in K-K.  Both bodies
     are centered, so the inscribing translate is the origin and
-    t = 1 / max_w gauge_{K-K}(w) over the vertices w of C-C.  In the plane
-    the facet closed form gives the value and the witness, the facet normal
-    of K-K with the least ratio.  Off the plane the gauges are one batched
-    evaluation, and the witness is the unit polar vertex of K-K attaining
-    the largest gauge: its support ratio is the width.  A flat K-K has
-    width 0 along the normal of its span from the SVD that finds its rank.
+    t = 1 / max_w gauge_{K-K}(w) over the vertices w of C-C, one batched
+    gauge in every dimension.  The witness is the unit polar vertex of K-K
+    at the first w whose gauge ties the largest (``_tie_floor``): it
+    supports K-K at w / gauge(w), so its support ratio is the width.  A flat
+    K-K has width 0 along the normal of its span from the SVD of its rank.
     """
     _check_dims(k, c)
     a = difference_hull(k)
@@ -412,10 +411,6 @@ def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
 
     if _flat_rank(b.vertices)[0] < d:
         raise ValueError("diameter/width need a full-dimensional gauge body")
-    if d == 2:
-        value, direction = _facet_width_2d(a, b)
-        return RadiiResult("omega", value, direction=direction)
-
     rank, vt = _flat_rank(a.vertices)
     if rank < d:
         return RadiiResult("omega", 0.0, direction=vt[-1])
@@ -429,17 +424,6 @@ def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
     return RadiiResult("omega", 2.0 / top, direction=normal / np.linalg.norm(normal))
 
 
-def _facet_width_2d(a: VPolytope, b: VPolytope) -> tuple[float, np.ndarray]:
-    """Minimal ratio 2 h_A(u) / h_B(u) over the facet normals u of A; 0 for
-    a flat A, along the first normal of its affine hull."""
-    fa = facets_2d(a)
-    if fa.lower_dimensional:
-        return 0.0, fa.normals[0]
-    ratios = 2.0 * fa.offsets / support_values(b, fa.normals)
-    arg = int(np.argmin(ratios))
-    return float(ratios[arg]), fa.normals[arg]
-
-
 # ---------------------------------------------------------------------------
 # the induced norm and the centered fast path
 
@@ -450,22 +434,23 @@ def induced_norm(c: VPolytope, x) -> FunctionalValue:
     return gauge(gb, _as_vector(x, c.dim))
 
 
-def _is_centered(p: VPolytope) -> bool:
-    """Every vertex has its negation in the list, up to the body's extent."""
-    sums = p.vertices[:, None, :] + p.vertices[None, :, :]
-    return bool(np.abs(sums).max(axis=2).min(axis=1).max() <= _CENTERED_TOL * _extent(p))
+def _is_centered(evaluate: _GaugeEvaluator) -> bool:
+    """The body of ``evaluate`` is its own mirror image, P = -P: the gauge
+    of -v is at most 1 + _CENTERED_TOL at every vertex v.  This is a test
+    of the set, so a redundant vertex needs no mirror vertex of its own."""
+    return bool(evaluate(-evaluate.body.vertices).max() <= 1.0 + _CENTERED_TOL)
 
 
 def symmetric_circumradius(k: VPolytope, c: GaugeBody) -> float:
     """Centered fast path: R(K, C) = max gauge over K's vertices.
 
-    Requires both vertex lists to be closed under negation; rejects anything
-    else, because the identity fails for non-centered bodies.
+    Requires K = -K and C = -C (``_is_centered``); rejects anything else,
+    because the identity fails for non-centered bodies.
     """
     _check_dims(k, c)
-    if not _is_centered(k):
+    if not _is_centered(_GaugeEvaluator(k)):
         raise ValueError("symmetric circumradius needs a centered body")
-    if not _is_centered(c.body):
+    if not _is_centered(c._evaluate):
         raise ValueError("symmetric circumradius needs a centered gauge body")
     return float(c._evaluate(k.vertices).max())
 
@@ -544,9 +529,12 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     directions = _unit_rows(b.vertices)
     sweep = directions if y_star is None else np.vstack([y_star, directions])
     a1 = 2.0 * float(np.max(support_values(a, sweep) / support_values(b, sweep)))
-    # a4 and 2R share C's frame, which takes the evaluator of C's gauge body
-    # when that is C recentred at its centroid; a3's frame takes half's.
-    a3 = _containment("circumradius", a, half.body, _frame(half.body, half._evaluate)).value
+    # a3 frames (C-C)/2 about its exact centre, the origin, so the frame takes
+    # half's evaluator when no axis is scaled.  a4 and 2R share C's frame, at
+    # its centroid (a given origin may lie near C's boundary), which takes the
+    # evaluator of C's gauge body when that is C recentred at its centroid.
+    a3 = _containment("circumradius", a, half.body,
+                      _frame(half.body, half._evaluate, np.zeros(k.dim))).value
     frame_c = _frame(c, gauge_c._evaluate)
     a4 = _containment("circumradius", a, c, frame_c).value
     a5 = float(gauge_c._evaluate(a.vertices).max())
@@ -565,8 +553,7 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
 
     two_r = 2.0 * _containment("circumradius", k, c, frame_c).value
     # C = -C exactly when the origin is interior and C holds -v for each vertex v.
-    centered = bool(not shift.any()
-                    and gauge_c._evaluate(-c.vertices).max() <= 1.0 + _CENTERED_TOL)
+    centered = bool(not shift.any() and _is_centered(gauge_c._evaluate))
 
     a1_consistent = bool(abs(a1 - a2) <= tol)
     flags = {

@@ -328,12 +328,12 @@ def test_criterion_7_width_oracle_equivalence():
         # vertex w of C-C, one gauge LP each.
         gauge_lp = _GaugeLP(a.vertices)
         via_lp = 2.0 / max(gauge_lp(w)[0] for w in b.vertices)
-        via_facets = min_width(k, c).value
-        assert abs(via_lp - via_facets) <= tol
+        via_polar = min_width(k, c).value
+        assert abs(via_lp - via_polar) <= tol
         sweep = 2.0 * support_values(a, sweep_dirs) / support_values(b, sweep_dirs)
         # A sampled minimum can only overshoot the true infimum.
         assert float(sweep.min()) >= via_lp - 1e-9
-    _passed("7 (inscription gauge LPs vs facet-form width, 100 instances "
+    _passed("7 (inscription gauge LPs vs polar-vertex width, 100 instances "
             "+ 4096-direction sweep)")
 
 

@@ -450,13 +450,36 @@ def test_flat_min_width_takes_one_thin_svd():
 
 
 def test_planar_min_width_enumerates_only_the_facets_of_k_minus_k(monkeypatch):
-    # The rank of C - C settles its flatness, with no facets.
+    # The rank of C - C settles its flatness, with no facets; the gauge
+    # evaluator of K - K enumerates its facets once.
     seen = []
-    facets_2d = radii.facets_2d
-    monkeypatch.setattr(radii, "facets_2d", lambda p: seen.append(len(p)) or facets_2d(p))
+    facets_2d = convex_core.facets_2d
+    monkeypatch.setattr(convex_core, "facets_2d", lambda p: seen.append(len(p)) or facets_2d(p))
     assert min_width(SQUARE, TRIANGLE).value == pytest.approx(
         oracle_min_width(SQUARE, TRIANGLE), rel=1e-9)
     assert seen == [len(difference_hull(SQUARE))]
+
+
+def test_planar_min_width_direction_comes_from_the_first_vertex_at_the_tie_floor():
+    # omega's witness follows one rule in every dimension: the unit polar
+    # vertex of K - K at the first vertex w of C - C whose gauge reaches the
+    # tie floor.  It attains omega and supports K - K at w / gauge(w).  The
+    # reference gauges come from one gauge LP per vertex.
+    from polyradii.radii import _tie_floor
+
+    for n in (24, 48, 96):
+        c = make_body(BodySpec("reuleaux_triangle", n=n))
+        k = transform(c, 1.0, [0.0, 0.0], reflect=True)
+        a, b = difference_hull(k), difference_hull(c)
+        lp = convex_core._GaugeLP(a.vertices)
+        gammas = np.array([lp(w)[0] for w in b.vertices])
+        first = int(np.argmax(gammas >= _tie_floor(float(gammas.max()))))
+        res = min_width(k, c)
+        u = res.direction
+        ratio = 2.0 * support_values(a, u[None])[0] / support_values(b, u[None])[0]
+        assert ratio == pytest.approx(res.value, rel=1e-12)
+        assert u @ b.vertices[first] / gammas[first] == pytest.approx(
+            support_values(a, u[None])[0], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +561,16 @@ def test_symmetric_circumradius_rejects_non_centered():
             symmetric_circumradius(triangle, gb)
         with pytest.raises(ValueError):
             symmetric_circumradius(square, GaugeBody.from_polytope(triangle))
+
+
+def test_symmetric_circumradius_accepts_a_redundant_vertex_without_mirror():
+    # Centring is a property of the set, P = -P: the redundant vertex
+    # (0.1, 0.2) inside the centred square has no mirror vertex in the list,
+    # and the body is centred all the same.
+    square = VPolytope(np.vstack([SQUARE.vertices, [0.1, 0.2]]))
+    gb = GaugeBody.from_polytope(square)
+    assert symmetric_circumradius(square, gb) == pytest.approx(
+        circumradius(square, square).value, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -1035,6 +1068,20 @@ def test_chain_builds_one_evaluator_per_vertex_array(monkeypatch):
     assert len(arrays) == len(set(arrays))
     centred = (c.vertices - c.vertices.mean(axis=0)).tobytes()
     assert arrays.count(centred) == 1
+
+
+def test_unit_scale_chain_builds_one_evaluator_of_half_the_difference_body(monkeypatch):
+    # (C-C)/2 is framed about the origin, its exact centre, so with no axis
+    # scaled a3's frame takes the evaluator that D and the chord sweep use.
+    rng = np.random.default_rng(11)
+    k = VPolytope(rng.normal(size=(8, 3)))
+    c = VPolytope(rng.normal(size=(8, 3)))
+    half = 0.5 * difference_hull(c).vertices
+    built = _recorded_evaluators(monkeypatch)
+    assert verify_chain(k, c).ok
+    assert sum(evaluate.body.vertices.shape == half.shape
+               and np.allclose(evaluate.body.vertices, half, rtol=0.0, atol=1e-12)
+               for evaluate in built) == 1
 
 
 def test_chain_of_a_flat_body_walks_in_its_span(monkeypatch):

@@ -2,7 +2,7 @@
 
 JSON results go to stdout with stable key order and 9 significant digits;
 diagnostics go to stderr.  Exit codes: 0 success, 1 malformed input,
-2 failed verification, 3 numerical failure.
+2 failed verification, 3 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -208,8 +208,9 @@ def run(argv=None) -> int:
         return EXIT_BAD_INPUT
     try:
         return _DISPATCH[args.command](args)
-    except RuntimeError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except (RuntimeError, MemoryError) as exc:
+        detail = f"out of memory: {exc}".rstrip(": ") if isinstance(exc, MemoryError) else exc
+        print(f"numerical failure: {detail}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

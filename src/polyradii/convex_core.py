@@ -6,13 +6,13 @@ an LP, so redundancy is harmless and is only ever pruned by the 2D hull.
 That hull passes a polygon that is already its own hull through in one
 linear, vectorised check, and runs Andrew's monotone chain on anything
 else.  Halfspace representations exist solely in the plane, where facet
-enumeration is exact and cheap.  Gauges are evaluated here as well, by one
-batched ``_GaugeEvaluator`` per body (a planar body's polar vertices when
-the origin is interior, else dual simplex walks in waves, each from the
-best cached facet cone and done at once where that cone holds its point),
-and the interior certificate ``interior_slack`` is its slack: in the plane
-the facet closed form min_f b_f / |n_f|_inf, or -1 if some offset b_f is
-<= 0.
+enumeration is exact and cheap.  Gauges are evaluated here as well, by a
+batched ``_GaugeEvaluator`` built per call on what its body prepares once
+(``VPolytope``): a planar body's polar vertices when the origin is
+interior, else dual simplex walks in waves, each from the best cached facet
+cone and done at once where that cone holds its point.  The interior
+certificate ``interior_slack`` is its slack: in the plane the facet closed
+form min_f b_f / |n_f|_inf, or -1 if some offset b_f is <= 0.
 """
 
 from __future__ import annotations
@@ -65,7 +65,14 @@ def _as_vector(x, dim: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class VPolytope:
-    """Convex hull of a finite, possibly redundant, vertex list."""
+    """Convex hull of a finite, possibly redundant, vertex list.
+
+    What the read-only vertices alone determine (difference hull, rank,
+    span, facets, polar vertices, gauge-LP columns, frames, half and
+    recentred bodies) is cached on first use by ``_prepared`` for the body's
+    lifetime, never in ``repr``, ``to_dict``, equality or pickles.  Gauge
+    evaluators learn facets as they walk and are never cached.
+    """
 
     vertices: np.ndarray
 
@@ -85,6 +92,17 @@ class VPolytope:
 
     def __len__(self) -> int:
         return self.vertices.shape[0]
+
+    def __reduce__(self):
+        return VPolytope, (self.vertices,)  # the vertices alone, not the cache
+
+    def _prepared(self, key, build):
+        """``build()``, a pure function of the vertices, computed on first use."""
+        cache = self.__dict__.setdefault("_cache", {})
+        return cache[key] if key in cache else cache.setdefault(key, build())
+
+    def _rank(self) -> tuple[int, np.ndarray]:
+        return self._prepared("rank", lambda: _flat_rank(self.vertices))
 
     def to_dict(self) -> dict:
         return {"dim": self.dim, "vertices": self.vertices.tolist()}
@@ -300,12 +318,13 @@ def minkowski_hull_2d(p: VPolytope, q: VPolytope) -> VPolytope:
 
 
 def difference_hull(p: VPolytope) -> VPolytope:
-    """Hull-reduced difference body; falls back to deduplication off-plane."""
+    """Hull-reduced difference body, prepared once per body; falls back to
+    deduplication off-plane."""
     if p.dim == 2:
-        zero = np.zeros(2)
-        return minkowski_hull_2d(p, transform(p, 1.0, zero, reflect=True))
-    diffs = difference_body(p).vertices
-    return VPolytope(np.unique(diffs, axis=0))
+        return p._prepared("difference hull", lambda: minkowski_hull_2d(
+            p, transform(p, 1.0, np.zeros(2), reflect=True)))
+    return p._prepared("difference hull",
+                       lambda: VPolytope(np.unique(difference_body(p).vertices, axis=0)))
 
 
 def facets_2d(p: VPolytope) -> HPolytope:
@@ -466,18 +485,19 @@ class _GaugeEvaluator:
     def __init__(self, body: VPolytope):
         self.body, self.dim = body, body.dim
         self.facets = self.polar_vertices = self.span = None
-        rank, vt = _flat_rank(body.vertices)
+        rank, vt = body._rank()
         if 0 < rank < body.dim:  # flat: V_r, orthonormal, and the evaluator on it
             self.span = vt[:rank].T
-            self.inner = _GaugeEvaluator(VPolytope(body.vertices @ self.span))
+            self.inner = _GaugeEvaluator(
+                body._prepared("span", lambda: VPolytope(body.vertices @ self.span)))
             return
         if body.dim == 2:
-            f = facets_2d(body)
-            if (f.offsets > 0.0).all():
-                self.facets = f
-                self.polar_vertices = (f.normals / f.offsets[:, None]).T
+            f = body._prepared("facets", lambda: facets_2d(body))
+            if (f.offsets > 0.0).all():  # the polar vertices n_f / b_f, as columns
+                self.facets, self.polar_vertices = f, body._prepared(
+                    "polar", lambda: (f.normals / f.offsets[:, None]).T)
                 return
-        self.lp = _GaugeLP(body.vertices)
+        self.lp = body._prepared("gauge LP", lambda: _GaugeLP(body.vertices))
         self.columns = self.lp.lhs.T  # the scaled vertices, one row per LP column
         # Bases of the cached facets, their inverses (facets, d, d), and the
         # polar vertex y_f of each facet in the body's coordinates.

@@ -42,7 +42,6 @@ from .convex_core import (
     _as_vector,
     _column_scales,
     _extent,
-    _flat_rank,
     _interior_margin,
     _power_of_two_scale,
     difference_hull,
@@ -161,13 +160,13 @@ def inradius(k: VPolytope, c: VPolytope) -> RadiiResult:
 class _Frame:
     """The outer body of the containment engine in the engine's coordinates.
 
-    Its vertices are translated by -``shift``, their centroid or a centre
-    the caller knows, and restricted to their affine hull, flat by the rule
-    of ``_flat_rank``: the columns of ``hull`` are its axes (the identity,
+    Its vertices are translated by -``shift``, their centroid or the
+    origin, and restricted to their affine hull, flat by the rule of
+    ``_flat_rank``: the columns of ``hull`` are its axes (the identity,
     which is exact, when it is all of space), and each axis is scaled by
     the power of two in ``scales``.  ``extent`` is the largest entry of the
     translated vertices, and ``evaluate`` the gauge evaluator of the framed
-    vertices, None when the hull is a point.
+    vertices (None when the hull is a point), the one part built per call.
     """
 
     shift: np.ndarray
@@ -178,20 +177,32 @@ class _Frame:
 
 
 def _frame(outer: VPolytope, known: _GaugeEvaluator | None = None,
-           shift: np.ndarray | None = None) -> _Frame:
-    """The containment frame of ``outer`` about ``shift``, its vertex
-    centroid when None.  It takes the evaluator ``known`` when that was built
-    on exactly its framed vertices (a gauge body recentred at its centroid,
-    or a centred body about the origin, no axis scaled): they share cones."""
-    shift = outer.vertices.mean(axis=0) if shift is None else shift
-    centred = outer.vertices - shift
-    rank, vt = _flat_rank(centred)
-    hull = np.eye(outer.dim) if rank == outer.dim else vt[:rank].T
-    scales = _column_scales(centred @ hull)
-    vertices = centred @ hull * scales
-    if known is None or not np.array_equal(known.body.vertices, vertices):
-        known = _GaugeEvaluator(VPolytope(vertices)) if rank else None
-    return _Frame(shift, hull, scales, float(np.abs(centred).max()), known)
+           origin: bool = False) -> _Frame:
+    """The containment frame of ``outer`` about the origin, or about its
+    vertex centroid when ``origin`` is False.  It takes the evaluator
+    ``known`` when that was built on exactly its framed vertices (a gauge
+    body recentred at its centroid, or a centred body about the origin, no
+    axis scaled): they share cones."""
+    centred = outer if origin else _recentred(outer)
+
+    def build():
+        rank, vt = centred._rank()
+        hull = np.eye(outer.dim) if rank == outer.dim else vt[:rank].T
+        scales = _column_scales(centred.vertices @ hull)
+        framed = VPolytope(centred.vertices @ hull * scales) if rank else None
+        return hull, scales, float(np.abs(centred.vertices).max()), framed
+
+    hull, scales, extent, framed = centred._prepared("frame", build)
+    if framed is None or known is None or not np.array_equal(known.body.vertices,
+                                                             framed.vertices):
+        known = None if framed is None else _GaugeEvaluator(framed)
+    shift = np.zeros(outer.dim) if origin else outer.vertices.mean(axis=0)
+    return _Frame(shift, hull, scales, extent, known)
+
+
+def _recentred(p: VPolytope) -> VPolytope:
+    """p translated by minus its vertex centroid, prepared once per body."""
+    return p._prepared("recentred", lambda: VPolytope(p.vertices - p.vertices.mean(axis=0)))
 
 
 def _containment(program: str, k: VPolytope, c: VPolytope,
@@ -323,7 +334,7 @@ def _facet_generation(program: str, inner: np.ndarray,
 
 
 def _half_difference_gauge(c: VPolytope) -> GaugeBody:
-    half = VPolytope(0.5 * difference_hull(c).vertices)
+    half = c._prepared("half difference", lambda: VPolytope(0.5 * difference_hull(c).vertices))
     try:
         return GaugeBody.from_polytope(half)
     except GaugeError as exc:
@@ -409,11 +420,11 @@ def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
     b = difference_hull(c)
     d = k.dim
 
-    if _flat_rank(b.vertices)[0] < d:
+    if b._rank()[0] < d:
         raise ValueError("diameter/width need a full-dimensional gauge body")
-    rank, vt = _flat_rank(a.vertices)
+    rank, vt = a._rank()
     if rank < d:
-        return RadiiResult("omega", 0.0, direction=vt[-1])
+        return RadiiResult("omega", 0.0, direction=vt[-1].copy())  # vt is a's cached SVD
 
     # The origin vertex of C-C imposes no constraint.
     nonzero = np.linalg.norm(b.vertices, axis=1) > 1e-12 * _extent(b)
@@ -475,9 +486,8 @@ def interior_point(p: VPolytope) -> np.ndarray:
 def _interior_gauge_at(p: VPolytope) -> tuple[np.ndarray, GaugeBody]:
     """``interior_point(p)`` and p translated by it as a gauge body, which
     keeps the evaluator whose slack certified the centroid."""
-    centroid = p.vertices.mean(axis=0)
     try:
-        return centroid, GaugeBody.from_polytope(VPolytope(p.vertices - centroid))
+        return p.vertices.mean(axis=0), GaugeBody.from_polytope(_recentred(p))
     except GaugeError:
         pass
     fit = inradius(p, VPolytope(np.vstack([np.eye(p.dim), -np.eye(p.dim)])))
@@ -520,10 +530,9 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     """
     _check_dims(k, c)
     _check_tol(tol)
-    a = difference_hull(k)
+    a, b = difference_hull(k), difference_hull(c)
     gauge_c, shift = _interior_gauge(c)
     half = _half_difference_gauge(c)
-    b = VPolytope(2.0 * half.body.vertices)  # C-C: halving and doubling are exact
 
     a2, _, y_star = _diameter(k, half)
     directions = _unit_rows(b.vertices)
@@ -534,7 +543,7 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     # its centroid (a given origin may lie near C's boundary), which takes the
     # evaluator of C's gauge body when that is C recentred at its centroid.
     a3 = _containment("circumradius", a, half.body,
-                      _frame(half.body, half._evaluate, np.zeros(k.dim))).value
+                      _frame(half.body, half._evaluate, origin=True)).value
     frame_c = _frame(c, gauge_c._evaluate)
     a4 = _containment("circumradius", a, c, frame_c).value
     a5 = float(gauge_c._evaluate(a.vertices).max())

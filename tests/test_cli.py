@@ -257,3 +257,20 @@ def test_output_uses_nine_significant_digits(capsys, body_files):
     )
     value = json.loads(out)["D"]["value"]
     assert value == float(f"{(2.0 / 3.0) * (3.0 + SQRT3):.9g}")
+
+
+def test_out_of_memory_exits_three(capsys, body_files, monkeypatch):
+    import polyradii.cli as cli
+
+    for error, message in (
+        (MemoryError("Unable to allocate 5.00 GiB for an array"),
+         "numerical failure: out of memory: Unable to allocate 5.00 GiB for an array\n"),
+        (MemoryError(), "numerical failure: out of memory\n"),
+    ):
+        def explode(*args, error=error, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "verify_chain", explode)
+        code, out, err = run_cli(capsys, "verify", "--body", body_files["square"],
+                                 "--gauge", body_files["triangle"])
+        assert (code, out, err) == (3, "", message)

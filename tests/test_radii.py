@@ -451,13 +451,22 @@ def test_flat_min_width_takes_one_thin_svd():
 
 def test_planar_min_width_enumerates_only_the_facets_of_k_minus_k(monkeypatch):
     # The rank of C - C settles its flatness, with no facets; the gauge
-    # evaluator of K - K enumerates its facets once.
+    # evaluator of K - K enumerates its facets once.  Fresh bodies, because
+    # each body is prepared once: a second call on the same objects reads
+    # K - K's facets from it and enumerates none.
+    square = make_body(BodySpec("centered_square"))
+    triangle = make_body(BodySpec("equilateral_triangle"))
     seen = []
     facets_2d = convex_core.facets_2d
     monkeypatch.setattr(convex_core, "facets_2d", lambda p: seen.append(len(p)) or facets_2d(p))
-    assert min_width(SQUARE, TRIANGLE).value == pytest.approx(
-        oracle_min_width(SQUARE, TRIANGLE), rel=1e-9)
-    assert seen == [len(difference_hull(SQUARE))]
+    first = min_width(square, triangle)
+    assert first.value == pytest.approx(oracle_min_width(square, triangle), rel=1e-9)
+    assert seen == [len(difference_hull(square))]
+    seen.clear()
+    second = min_width(square, triangle)
+    assert seen == []
+    assert second.value == first.value
+    assert np.array_equal(second.direction, first.direction)
 
 
 def test_planar_min_width_direction_comes_from_the_first_vertex_at_the_tie_floor():
@@ -1134,3 +1143,78 @@ def test_difference_hull_survives_scale_and_offsets(label):
     assert len(diff) == 4
     assert circumradius(diff, c).value == pytest.approx(CIRCUM_DIFF_REF, rel=1e-7)
     assert inradius(diff, c).value == pytest.approx(2.0, rel=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# bodies prepared once
+
+
+def _purity_cases():
+    """(K, C) vertex arrays: planar pairs, then off-plane ones whose gauges walk."""
+    reuleaux = make_body(BodySpec("reuleaux_triangle", n=48)).vertices
+    k, c = _distorted("offset-1e7")
+    rng = np.random.default_rng(21)
+    plane = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    centred = rng.normal(size=(8, 3))
+    centred -= centred.mean(axis=0)
+    return [
+        (-reuleaux, reuleaux),
+        (SQUARE.vertices, TRIANGLE.vertices),
+        (k.vertices, c.vertices),
+        (rng.normal(size=(8, 3)), rng.normal(size=(8, 3))),
+        (rng.normal(size=(7, 4)), rng.normal(size=(7, 4))),
+        (np.c_[rng.normal(size=(12, 2)), np.zeros(12)] @ plane.T, rng.normal(size=(8, 3))),
+        (rng.normal(size=(8, 3)), centred + 0.05),
+    ]
+
+
+def _bits(result):
+    """Every value and witness of a result, bit for bit."""
+    if isinstance(result, ChainReport):
+        return np.array(_members(result)).tobytes(), sorted(result.flags.items())
+    return tuple(None if part is None else np.asarray(part, dtype=float).tobytes()
+                 for part in (result.value, result.center, result.pair, result.direction))
+
+
+def test_prepared_bodies_give_bit_identical_results_in_any_call_order():
+    # Only pure data of a body is kept on it.  A gauge evaluator learns
+    # facets as it walks, so caching one would make off-plane results
+    # depend on the calls before them.  Each call on shared objects, made
+    # once in order and again after all the others, must match the same
+    # call on fresh objects bit for bit.
+    cases = _purity_cases()
+    quantities = (circumradius, inradius, diameter, min_width, verify_chain)
+    calls = [(quantity, i) for i in range(len(cases)) for quantity in quantities]
+    fresh = {(quantity, i): _bits(quantity(VPolytope(cases[i][0]), VPolytope(cases[i][1])))
+             for quantity, i in calls}
+    shared = [(VPolytope(k), VPolytope(c)) for k, c in cases]
+    for order in (calls, calls[::-1]):
+        for quantity, i in order:
+            assert _bits(quantity(*shared[i])) == fresh[quantity, i], (quantity.__name__, i)
+
+
+def test_second_planar_chain_recomputes_no_hull_facets_or_rank(monkeypatch):
+    # A planar body's hulls, facets and ranks are computed once, on the
+    # first call; the cache is never pickled or shown in repr.
+    import pickle
+
+    counts = {}
+    for name in ("facets_2d", "hull_2d", "_flat_rank"):
+        real = getattr(convex_core, name)
+        monkeypatch.setattr(convex_core, name, lambda *args, _name=name, _real=real: (
+            counts.__setitem__(_name, counts.get(_name, 0) + 1) or _real(*args)))
+    c = make_body(BodySpec("reuleaux_triangle", n=48))
+    pairs = [(transform(c, 1.0, [0.0, 0.0], reflect=True), c),
+             (VPolytope(SQUARE.vertices), VPolytope(TRIANGLE.vertices + [50.0, -20.0]))]
+    first = [verify_chain(k, c).to_dict() for k, c in pairs]
+    assert set(counts) == {"facets_2d", "hull_2d", "_flat_rank"}
+    counts.clear()
+    assert [verify_chain(k, c).to_dict() for k, c in pairs] == first
+    assert counts == {}
+    for body in (c, pairs[1][1]):
+        assert "_cache" in vars(body)
+        clone = pickle.loads(pickle.dumps(body))
+        assert "_cache" not in vars(clone) and not clone.vertices.flags.writeable
+        assert np.array_equal(clone.vertices, body.vertices)
+        assert repr(body) == repr(VPolytope(body.vertices))
+        assert "_cache" not in repr(body)

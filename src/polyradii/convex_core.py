@@ -9,14 +9,17 @@ else.  Halfspace representations exist solely in the plane, where facet
 enumeration is exact and cheap.  Gauges are evaluated here as well, by a
 batched ``_GaugeEvaluator`` built per call on what its body prepares once
 (``VPolytope``): a planar body's polar vertices when the origin is
-interior, else dual simplex walks in waves, each from the best cached facet
-cone and done at once where that cone holds its point.  The interior
-certificate ``interior_slack`` is its slack: in the plane the facet closed
-form min_f b_f / |n_f|_inf, or -1 if some offset b_f is <= 0.
+interior, read from the facet cone that an angular search finds for each
+point (``_Sectors``, which give planar supports too), else dual simplex
+walks in waves, each from the best cached facet cone and done at once where
+that cone holds its point.  The interior certificate ``interior_slack`` is
+its slack: in the plane the facet closed form min_f b_f / |n_f|_inf, or -1
+if some offset b_f is <= 0.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -327,6 +330,11 @@ def difference_hull(p: VPolytope) -> VPolytope:
                        lambda: VPolytope(np.unique(difference_body(p).vertices, axis=0)))
 
 
+def _ccw_hull(p: VPolytope) -> np.ndarray:
+    """``hull_2d`` of a planar body's vertices, prepared once per body."""
+    return p._prepared("hull", lambda: hull_2d(p.vertices).vertices)
+
+
 def facets_2d(p: VPolytope) -> HPolytope:
     """One outward-unit-normal halfspace per hull edge of a planar body.
 
@@ -335,7 +343,7 @@ def facets_2d(p: VPolytope) -> HPolytope:
     """
     if p.dim != 2:
         raise DimensionMismatchError("facets_2d expects a planar body")
-    hull = hull_2d(p.vertices).vertices
+    hull = _ccw_hull(p)
     if hull.shape[0] == 1:
         x, y = hull[0]
         normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -354,6 +362,77 @@ def facets_2d(p: VPolytope) -> HPolytope:
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     offsets = np.einsum("ij,ij->i", normals, hull)
     return HPolytope(normals, offsets)
+
+
+class _Sectors:
+    """max_i rows_i . x over the sectors of a CCW fan, and the least i attaining it.
+
+    Sector i covers the angles from ``starts[i]`` to ``starts[i + 1]``
+    (cyclically, counter-clockwise), and ``rows[i]`` attains the maximum on
+    it: a polygon's support function and gauge are linear on such sectors
+    (rotating calipers; Shamos 1978, Toussaint 1983).  Each point's angle is
+    searched among the starts, and the sector found and its two neighbours
+    are evaluated, so a sector misplaced by rounding still yields the
+    maximum of computed products.  An exact tie among them goes to the
+    lowest index, as in ``argmax``.  Time O((n + q) log n) and memory
+    O(n + q) for n sectors and q points.
+    """
+
+    def __init__(self, starts: np.ndarray, rows: np.ndarray):
+        first = int(np.argmin(starts))
+        self.count, self.starts = starts.size, np.concatenate((starts[first:], starts[:first]))
+        # The rows by ascending start, with two more wrapped on each side:
+        # the sector found for a point and its neighbours are three
+        # consecutive entries.
+        self.index = np.arange(first - 2, first + starts.size + 2) % starts.size
+        self.x, self.y = rows[self.index].T.copy()
+        self.scales = np.ones(2)  # a point is searched as scales * point
+
+    def mapped(self, shift: np.ndarray, scales: np.ndarray, a: float) -> "_Sectors":
+        """The sectors of the rows a (row - shift) * scales, for a > 0 and
+        positive scales: u . (a (row - shift) * scales) is largest where
+        (scales * u) . row is, so the point is searched as scales * u."""
+        out = copy.copy(self)
+        out.x = a * ((self.x - shift[0]) * scales[0])
+        out.y = a * ((self.y - shift[1]) * scales[1])
+        out.scales = self.scales * scales
+        return out
+
+    def _near(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The three entries evaluated for each point, and their products."""
+        # Angles in [-pi, pi]; one below the least start lies in the last
+        # sector, the one that crosses the cut at pi.
+        angles = np.arctan2(points[:, 1] * self.scales[1], points[:, 0] * self.scales[0])
+        near = np.searchsorted(self.starts, angles, side="right")[:, None] + np.arange(3)
+        return near, self.x[near] * points[:, :1] + self.y[near] * points[:, 1:]
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        return self._near(points)[1].max(axis=1)
+
+    def __call__(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        near, products = self._near(points)
+        values = products.max(axis=1)
+        index = np.where(products == values[:, None], self.index[near], self.count)
+        return values, index.min(axis=1)
+
+
+def _support_sectors(p: VPolytope) -> _Sectors:
+    """The sectors of a planar body's support function, prepared once per
+    body.  Vertex i of its hull is extreme from the outward normal of the
+    edge into it to that of the edge out of it; a point or a segment has
+    one or two sectors.  The hull turns by more than 0 at every vertex, not
+    by ``hull_2d``'s tolerance, so it drops no vertex that can be extreme:
+    its supports are the vertex maxima."""
+    def build():
+        hull = _hull_as_given(p.vertices, 0.0)
+        if hull is None:
+            hull = np.unique(p.vertices, axis=0)
+            if hull.shape[0] > 2:
+                hull = np.array(_monotone_chain(hull.tolist(), 0.0))
+        into = hull - np.concatenate((hull[-1:], hull[:-1]))  # the edge into each vertex
+        return _Sectors(np.arctan2(-into[:, 0], into[:, 1]), hull)
+
+    return p._prepared("support sectors", build)
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +547,11 @@ class _GaugeEvaluator:
     """Batched gauge of a body over the rows of a point array.
 
     A planar body whose facet offsets b_f are all positive (the origin is
-    interior) reads it off its polar vertices p_f = n_f / b_f in one
-    product.  Any other body caches the facets it meets: an optimal basis
-    of d vertex columns B_f spans the cone over one facet, on which the
-    gauge is linear.  A later point x with weights mu = B_f^-1 x >= 0 has
+    interior) reads it off its polar vertices p_f = n_f / b_f: the gauge is
+    p_f.x on the cone over facet f, which ``_Sectors`` finds by the angle
+    of x among the hull's vertex angles.  Any other body caches the facets
+    it meets: an optimal basis of d vertex columns B_f spans the cone over
+    one facet, on which the gauge is linear.  A later point x with weights mu = B_f^-1 x >= 0 has
     gauge sum(mu), certified both ways: mu is a feasible weight vector, and
     the basis dual y_f = B_f^-T 1, a polar vertex by optimality, gives
     y_f.x = sum(mu).  Every point of a batch walks from the cached facet
@@ -493,9 +573,14 @@ class _GaugeEvaluator:
             return
         if body.dim == 2:
             f = body._prepared("facets", lambda: facets_2d(body))
-            if (f.offsets > 0.0).all():  # the polar vertices n_f / b_f, as columns
+            if (f.offsets > 0.0).all():  # the polar vertices n_f / b_f
                 self.facets, self.polar_vertices = f, body._prepared(
-                    "polar", lambda: (f.normals / f.offsets[:, None]).T)
+                    "polar", lambda: f.normals / f.offsets[:, None])
+                # Facet f is the edge from hull vertex f to f + 1: its cone
+                # starts at the angle of vertex f.
+                hull = _ccw_hull(body)
+                self.sectors = body._prepared("gauge sectors", lambda: _Sectors(
+                    np.arctan2(hull[:, 1], hull[:, 0]), self.polar_vertices))
                 return
         self.lp = body._prepared("gauge LP", lambda: _GaugeLP(body.vertices))
         self.columns = self.lp.lhs.T  # the scaled vertices, one row per LP column
@@ -515,9 +600,10 @@ class _GaugeEvaluator:
         """The gauge of each row and a polar vertex y attaining it.
 
         y.v <= 1 on every vertex v of the body and y.x = gauge(x): the planar
-        argmax p_f, the B^-T 1 of a walk's last basis, or the gauge LP's
-        dual normal.  Rows whose gauge is inf get a nan normal.  Off the
-        plane every row walks, in waves of as many lanes as keep a pivot's
+        p_f of the cone found for x (the lowest facet index at an exact tie),
+        the B^-T 1 of a walk's last basis, or the gauge LP's dual normal.
+        Rows whose gauge is inf get a nan normal.  Off the plane every row
+        walks, in waves of as many lanes as keep a pivot's
         two (lanes, n) products over the n vertex columns within
         ``_WAVE_CELLS``; after each wave the new facets that its walks and
         LPs reached are cached, and later waves start from them.
@@ -532,10 +618,8 @@ class _GaugeEvaluator:
             normals[inside] = polar @ self.span.T
             return values, normals
         if self.polar_vertices is not None:
-            products = points @ self.polar_vertices
-            best = products.argmax(axis=1)
-            values = products[np.arange(points.shape[0]), best]
-            return np.maximum(values, 0.0), self.polar_vertices[:, best].T
+            values, best = self.sectors(points)
+            return np.maximum(values, 0.0), self.polar_vertices[best]
         values = np.full(points.shape[0], np.nan)
         normals = np.full(points.shape, np.nan)
         waiting = np.arange(points.shape[0])
@@ -638,12 +722,15 @@ class _GaugeEvaluator:
 
     def slack(self) -> float:
         """1 / max_k gauge(±e_k): the largest rho with ±rho e_k in the body
-        for every axis k, min_f b_f / |n_f|_inf in the plane.  -1 when the
-        origin is not interior: a planar body then has no polar vertices,
-        and elsewhere some ±e_k leaves the cone, gauge inf.  The first axis
-        is evaluated alone, so an origin off the cone of the vertices costs
-        one LP; the other 2d - 1 axes are one batch."""
-        if self.dim == 2 and self.polar_vertices is None:
+        for every axis k, in the plane the closed form min_f b_f / |n_f|_inf
+        = 1 / max_f |p_f|_inf.  -1 when the origin is not interior: a planar
+        body then has no polar vertices, and elsewhere some ±e_k leaves the
+        cone, gauge inf.  The first axis is evaluated alone, so an origin
+        off the cone of the vertices costs one LP; the other 2d - 1 axes are
+        one batch."""
+        if self.polar_vertices is not None:
+            return 1.0 / float(np.abs(self.polar_vertices).max())
+        if self.dim == 2:
             return -1.0
         axes = np.vstack([np.eye(self.dim), -np.eye(self.dim)])
         top = float(self(axes[0])[0])

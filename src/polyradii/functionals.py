@@ -1,10 +1,12 @@
 """Support, width, gauge, radius, chord-length, and polar machinery.
 
-All functionals are exact on V-polytopes: supports are vertex maxima, and
-gauges come from convex_core's ``_GaugeEvaluator``, which reads them off the
-polar vertices in the plane and off the facet cones its gauge LP and walks
-have met elsewhere, and can return the polar vertex attaining each value (the
-containment engine's cuts).  A GaugeBody keeps the evaluator that certified
+All functionals are exact on V-polytopes: supports are vertex maxima, read
+in the plane off the hull vertex whose normal cone an angular search finds
+for the direction, and gauges come from convex_core's ``_GaugeEvaluator``,
+which reads them off the polar vertex of the facet cone that the same
+search finds in the plane and off the facet cones its gauge LP and walks
+have met elsewhere, and can return the polar vertex attaining each value
+(the containment engine's cuts).  A GaugeBody keeps the evaluator that certified
 its origin, so every later gauge of it reuses those cones.  Radius and chord
 lengths are reciprocal gauges.  A gauge is always evaluated on the body
 exactly as given; it is an error if the origin is not interior, because the
@@ -27,6 +29,7 @@ from .convex_core import (
     _GaugeEvaluator,
     _as_vector,
     _interior_margin,
+    _support_sectors,
     difference_hull,
 )
 
@@ -79,8 +82,14 @@ def support(k: VPolytope, u) -> FunctionalValue:
 
 
 def support_values(k: VPolytope, directions: np.ndarray) -> np.ndarray:
-    """Vectorised support over rows of ``directions``."""
-    return np.max(np.asarray(directions, dtype=float) @ k.vertices.T, axis=1)
+    """Vectorised support over rows of ``directions``.  In the plane each
+    row's angle is searched among the edge normals of the body's prepared
+    hull (``_support_sectors``), linear in memory; elsewhere one product
+    with the vertex list."""
+    directions = np.asarray(directions, dtype=float)
+    if k.dim == 2:
+        return _support_sectors(k).values(directions)
+    return np.max(directions @ k.vertices.T, axis=1)
 
 
 def width_fn(k: VPolytope, u) -> FunctionalValue:

@@ -10,8 +10,10 @@ the outer body supplies the facets the master's solution violates.  In the
 plane every facet is known at the start, so one master solve suffices;
 flat bodies are restricted to their affine hull first.  Gauges are read
 off the facets in the plane and off the facet cones their LPs have met
-elsewhere.  The planar diameter swaps the maximum over vertex pairs for
-one over the gauge's polar vertices p_f = n_f / b_f:
+elsewhere; planar gauges and supports take one angular search per point,
+so no planar path forms a product of two vertex lists.  The planar
+diameter swaps the maximum over vertex pairs for one over the gauge's
+polar vertices p_f = n_f / b_f:
 sup_{i,j} gauge(v_j - v_i) = max_f (h_K(p_f) + h_K(-p_f)); off the plane
 its pairs are one batched gauge, and the chain's pair-gauge member is one
 gauge of C at the vertices of K-K.
@@ -38,12 +40,14 @@ from .convex_core import (
     DimensionMismatchError,
     LowerDimensionalError,
     VPolytope,
+    _WAVE_CELLS,
     _GaugeEvaluator,
     _as_vector,
     _column_scales,
     _extent,
     _interior_margin,
     _power_of_two_scale,
+    _support_sectors,
     difference_hull,
 )
 from .functionals import (
@@ -221,9 +225,9 @@ def _containment(program: str, k: VPolytope, c: VPolytope,
         raise ValueError("inradius is unbounded: the gauge body is a single point")
     if frame is None:
         frame = _frame(c if circum else k)
-    inner = (k if circum else c).vertices
-    inner_shift = inner.mean(axis=0)
-    inner = inner - inner_shift
+    source = k if circum else c
+    inner_shift = source.vertices.mean(axis=0)
+    inner = source.vertices - inner_shift
     k_shift, c_shift = (inner_shift, frame.shift) if circum else (frame.shift, inner_shift)
     hull = frame.hull
     size = max(frame.extent, np.abs(inner).max())
@@ -235,8 +239,16 @@ def _containment(program: str, k: VPolytope, c: VPolytope,
     inner = inner @ hull * frame.scales
     # R(aK, C) = a R(K, C) with centre a x; r(K, aC) = r(K, C) / a, same centre.
     a = _power_of_two_scale(float(np.abs(inner).max(initial=0.0)))
-    lam, x = (_facet_generation(program, a * inner, frame.evaluate)
-              if hull.shape[1] else (0.0, np.zeros(0)))
+    lam, x = 0.0, np.zeros(0)
+    if hull.shape[1]:
+        inner_body = VPolytope(a * inner)
+        if hull.shape[1] == 2:
+            # The full planar frame is the identity: the inner body is the
+            # source translated and scaled, and reads its supports off the
+            # source's sectors.
+            inner_body._prepared("support sectors", lambda: _support_sectors(source).mapped(
+                inner_shift, frame.scales, a))
+        lam, x = _facet_generation(program, inner_body, frame.evaluate)
     lam, x = (lam / a, x / a) if circum else (lam * a, x)
     center = k_shift + hull @ (x / frame.scales) - lam * c_shift
     return RadiiResult("R" if circum else "r", lam, center=center)
@@ -249,7 +261,7 @@ def _require_finite(values: np.ndarray, program: str) -> None:
                            f"{np.count_nonzero(np.isinf(values))} of {values.size} points")
 
 
-def _facet_generation(program: str, inner: np.ndarray,
+def _facet_generation(program: str, inner_body: VPolytope,
                       evaluate: _GaugeEvaluator) -> tuple[float, np.ndarray]:
     """Kelley's cutting planes on the support-function containment program.
 
@@ -265,11 +277,12 @@ def _facet_generation(program: str, inner: np.ndarray,
     is within 1e-9 max(1, lambda) of the master's.  In the plane every facet
     is a cut from the start, so the first oracle call ends the loop; off the
     plane R starts with no cut and r with the bounding box of K, which keeps
-    its master bounded.  The outer body is ``evaluate.body``.
+    its master bounded.  The outer body is ``evaluate.body``; a planar
+    inner body may carry the support sectors of the body it was mapped from.
     """
     circum = program == "circumradius"
     d, outer = evaluate.dim, evaluate.body.vertices
-    inner_body, outer_body = VPolytope(inner), evaluate.body
+    inner, outer_body = inner_body.vertices, evaluate.body
     if evaluate.facets is not None:
         normals, offsets = evaluate.facets.normals, evaluate.facets.offsets
     elif circum:
@@ -334,13 +347,16 @@ def _facet_generation(program: str, inner: np.ndarray,
 
 
 def _half_difference_gauge(c: VPolytope) -> GaugeBody:
+    """(C-C)/2 as a gauge body.  It is centred, so its rank alone settles
+    whether C is full-dimensional (ValueError if not); a full-rank body
+    that fails the interior certificate is a numerical failure."""
     half = c._prepared("half difference", lambda: VPolytope(0.5 * difference_hull(c).vertices))
+    if half._rank()[0] < c.dim:
+        raise ValueError("diameter/width need a full-dimensional gauge body")
     try:
         return GaugeBody.from_polytope(half)
     except GaugeError as exc:
-        raise ValueError(
-            "diameter/width need a full-dimensional gauge body"
-        ) from exc
+        raise RuntimeError(f"(C-C)/2 has full rank, but {exc}") from exc
 
 
 def _tie_floor(top: float) -> float:
@@ -357,7 +373,11 @@ def diameter(k: VPolytope, c: VPolytope) -> RadiiResult:
     plane the pair maximum is swapped with the facet maximum: with
     p_f = n_f / b_f the polar vertices of (C-C)/2,
     D = max_f (h_K(p_f) + h_K(-p_f)), the widest strip between parallel
-    supporting lines of K measured in the gauge, read off one n x F product.
+    supporting lines of K measured in the gauge, with each support read off
+    an angular search over the hull of K: O((n + F) log n) time, O(n + F)
+    memory.  A gauge body whose C-C is flat is bad input (ValueError); one
+    of full rank whose (C-C)/2 fails the interior certificate is a
+    numerical failure (RuntimeError).
     """
     _check_dims(k, c)
     value, pair, _ = _diameter(k, _half_difference_gauge(c))
@@ -373,10 +393,11 @@ def _diameter(k: VPolytope, half: GaugeBody) -> tuple[float, tuple[int, int],
     2 h_{K-K}(y*) / h_{C-C}(y*) >= D: y* is D's dual certificate.  The
     gauge is symmetric, so the pairs i < j suffice.  Off the plane they are
     one batched gauge, which gives D, the first attaining pair in row-major
-    order and its y*.  In the plane one n x F product of the centred
-    vertices with the polar vertices gives each row's maximum (see
-    ``diameter``), and the first attaining row is evaluated again for its
-    pair and y*.
+    order and its y*.  In the plane D is the widest strip over the F polar
+    vertices (see ``diameter``).  Row i's best pair reaches the tie floor
+    only at a facet whose strip does, so the rows are scanned against those
+    facets alone, in blocks within ``_WAVE_CELLS``, up to the first row
+    that attains; its gauges give j and y*.
     """
     verts = k.vertices
     if verts.shape[0] == 1:
@@ -389,12 +410,25 @@ def _diameter(k: VPolytope, half: GaugeBody) -> tuple[float, tuple[int, int],
         top = float(values.max())
         first = int(np.argmax(values >= _tie_floor(top)))
         return top, (int(rows[first]), int(later[first])), normals[first]
-    products = (verts - verts.mean(axis=0)) @ evaluate.polar_vertices
-    np.subtract(products.max(axis=0), products, out=products)
-    row_max = products.max(axis=1)  # >= 0: each column's max less its entries
-    del products  # so the row's gauges below are the only other n x F array
-    top = float(row_max.max())
-    i = int(np.argmax(row_max >= _tie_floor(top)))
+    centred, polar = _recentred(k), evaluate.polar_vertices
+    supports = support_values(centred, np.vstack([polar, -polar]))
+    high = supports[:len(polar)]
+    widths = high + supports[len(polar):]
+    top = float(widths.max())
+    floor = _tie_floor(top)
+    # Row i attains when h_K(p_f) - v_i.p_f reaches the floor at some f,
+    # which only a facet whose width reaches it can do.
+    tied = np.flatnonzero(widths >= floor)
+    high, columns = high[tied], polar[tied].T
+    block = max(1, _WAVE_CELLS // tied.size)
+    for i in range(0, len(k), block):
+        attains = np.flatnonzero(((high - centred.vertices[i:i + block] @ columns) >= floor)
+                                 .any(axis=1))
+        if attains.size:
+            i += int(attains[0])
+            break
+    else:
+        raise RuntimeError("diameter: no vertex attains the widest strip")
     values, polar = evaluate.with_normals(verts[i + 1:] - verts[i])
     j = int(np.argmax(values >= _tie_floor(top)))
     return top, (i, i + 1 + j), polar[j]
@@ -498,12 +532,22 @@ def _interior_gauge_at(p: VPolytope) -> tuple[np.ndarray, GaugeBody]:
 
 def _interior_gauge(c: VPolytope) -> tuple[GaugeBody, np.ndarray]:
     """C as a gauge body: as given when the origin is interior, else
-    recentered at the point that ``interior_point`` has certified."""
+    recentered at the point that ``interior_point`` has certified.  C is
+    flat when C-C is, the rule of ``diameter`` and ``min_width``: a C whose
+    C-C has full rank and that has no certified point is a numerical
+    failure, not a flat body."""
     try:
         return GaugeBody.from_polytope(c), np.zeros(c.dim)
     except GaugeError:
+        pass
+    try:
         shift, gauge_body = _interior_gauge_at(c)
-        return gauge_body, shift
+    except LowerDimensionalError as exc:
+        if difference_hull(c)._rank()[0] < c.dim:
+            raise
+        raise RuntimeError("the gauge body has full rank, but no point has an interior "
+                           f"slack of at least {_interior_margin(c):.3e}") from exc
+    return gauge_body, shift
 
 
 def _unit_rows(vertices: np.ndarray) -> np.ndarray:

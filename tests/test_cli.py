@@ -248,6 +248,13 @@ def test_numerical_failures_exit_three(capsys, body_files, monkeypatch, tmp_path
         assert code == 3 and out == ""
         assert (f"numerical failure: circumradius facet LP ({dim + 1} x 0): the oracle's "
                 f"gauge LP is infeasible at {2 ** dim} of {2 ** dim} points") in err
+        # The box has full rank, so the diameter's (C-C)/2 is not flat input:
+        # its failed interior certificate is a numerical failure.
+        code, out, err = run_cli(capsys, "radii", "--body", str(tmp_path / "cube.json"),
+                                 "--gauge", str(tmp_path / "box.json"), "--quantity", "D")
+        assert code == 3 and out == ""
+        assert ("numerical failure: (C-C)/2 has full rank, but origin is not interior "
+                "to the gauge body (slack") in err
 
 
 def test_output_uses_nine_significant_digits(capsys, body_files):

@@ -20,7 +20,7 @@ from polyradii.convex_core import (
     minkowski_sum,
     transform,
 )
-from polyradii.functionals import support
+from polyradii.functionals import support, support_values
 from polyradii.radii import interior_point
 
 SQRT3 = math.sqrt(3.0)
@@ -307,6 +307,100 @@ def test_hexagon_facet_offsets_match_support():
     assert len(h.offsets) == 6
     for n, b in zip(h.normals, h.offsets):
         assert b == pytest.approx(support(hexagon, n).value, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# angular sector search: planar supports and gauges against the dense products
+
+EPS = np.finfo(float).eps
+
+
+def _sector_bodies(rng):
+    """Random polygons on and off the origin, each listed with interior,
+    duplicate and nearly collinear rows (points of its edges, up to
+    rounding, and one pushed out of an edge by a turn that ``hull_2d``
+    tolerates and drops, though it is extreme), in random order."""
+    for trial in range(40):
+        points = rng.normal(size=(int(rng.integers(3, 30)), 2)) * rng.uniform(0.1, 10.0, size=2)
+        if trial % 2:
+            points += rng.normal(scale=20.0, size=2)
+        hull = hull_2d(points).vertices
+        ends = rng.integers(len(hull), size=6)
+        along = rng.uniform(size=(6, 1))
+        edges = np.roll(hull, -1, axis=0)[ends] - hull[ends]
+        on_edges = hull[ends] + along * edges
+        # Turn 0.5e-12 extent**2 at the midpoint of edge e, along its outward normal.
+        extent, e = np.ptp(points, axis=0).max(), edges[0]
+        notch = hull[ends[0]] + 0.5 * e + 0.5e-12 * extent ** 2 * np.array([e[1], -e[0]]) / (e @ e)
+        rows = np.vstack([points, points[:3], points.mean(axis=0, keepdims=True), on_edges,
+                          notch])
+        yield VPolytope(rng.permutation(rows))
+
+
+def _sector_queries(rng, rays, normals):
+    """Random directions, the given vertex rays and facet normals (and
+    their negatives), the two sides of the cut at pi, and the origin."""
+    return np.vstack([rng.normal(size=(50, 2)), rays, -rays, normals, -normals,
+                      [[-1.0, 0.0], [-1.0, -0.0], [0.0, 0.0]]])
+
+
+def test_planar_support_values_match_the_dense_product():
+    rng = np.random.default_rng(19)
+    bodies = list(_sector_bodies(rng))
+    bodies += [VPolytope([[0.5, -1.0], [2.0, 3.0], [0.5, -1.0], [1.25, 1.0]]),  # a segment
+               VPolytope([[3.0, -1.0], [3.0, -1.0]])]  # a point
+    for body in bodies:
+        hull = hull_2d(body.vertices).vertices
+        queries = _sector_queries(rng, hull, facets_2d(body).normals)
+        dense = np.max(queries @ body.vertices.T, axis=1)
+        scale = np.abs(body.vertices).max() * np.abs(queries).sum(axis=1)
+        np.testing.assert_array_less(np.abs(support_values(body, queries) - dense),
+                                     4 * EPS * scale + 1e-300)
+        # The sectors of the body translated and scaled by positive powers
+        # of two, as the containment engine maps its inner body.
+        shift, scales, a = body.vertices.mean(axis=0), 2.0 ** rng.integers(-3, 4, size=2), 0.25
+        mapped = a * ((body.vertices - shift) * scales)
+        dense = np.max(queries @ mapped.T, axis=1)
+        scale = np.abs(mapped).max() * np.abs(queries).sum(axis=1)
+        np.testing.assert_array_less(
+            np.abs(core._support_sectors(body).mapped(shift, scales, a).values(queries) - dense),
+            4 * EPS * scale + 1e-300)
+
+
+def test_planar_gauge_normals_are_polar_vertices_that_attain_it():
+    rng = np.random.default_rng(20)
+    for body in _sector_bodies(rng):
+        body = VPolytope(body.vertices - hull_2d(body.vertices).vertices.mean(axis=0))
+        evaluate = core._GaugeEvaluator(body)
+        polar = evaluate.polar_vertices
+        assert polar is not None  # the origin is interior: the sector route
+        hull = hull_2d(body.vertices).vertices
+        points = _sector_queries(rng, hull * rng.uniform(0.1, 3.0, size=(len(hull), 1)),
+                                 facets_2d(body).normals)
+        values, normals = evaluate.with_normals(points)
+        dense = points @ polar.T
+        tol = 4 * EPS * np.abs(points).sum(axis=1) * np.abs(polar).max()
+        np.testing.assert_array_less(np.abs(values - np.maximum(dense.max(axis=1), 0.0)),
+                                     tol + 1e-300)
+        index = np.array([np.flatnonzero((polar == y).all(axis=1))[0] for y in normals])
+        np.testing.assert_array_less(dense.max(axis=1) - dense[np.arange(len(points)), index],
+                                     tol + 1e-300)
+        assert values[-1] == 0.0  # the origin
+
+
+def test_planar_gauge_ties_go_to_the_lowest_facet():
+    # Exact products: facets 0..3 of the box are its bottom, right, top and
+    # left edges, and every vertex ray ties two of them, across the facet
+    # list's wrap at the lower-left corner too.
+    box = VPolytope([[-2.0, -1.0], [1.0, -1.0], [1.0, 4.0], [-2.0, 4.0]])
+    evaluate = core._GaugeEvaluator(box)
+    points = np.array([[1.0, 4.0], [-2.0, 4.0], [-2.0, -1.0], [1.0, -1.0],
+                       [-1.0, 0.0], [-1.0, -0.0], [0.5, 0.0]])
+    values, normals = evaluate.with_normals(points)
+    dense = points @ evaluate.polar_vertices.T
+    assert (values == np.maximum(dense.max(axis=1), 0.0)).all()
+    np.testing.assert_array_equal(normals, evaluate.polar_vertices[dense.argmax(axis=1)])
+    np.testing.assert_array_equal(dense.argmax(axis=1)[:4], [1, 2, 0, 0])
 
 
 # ---------------------------------------------------------------------------

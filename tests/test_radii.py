@@ -12,6 +12,7 @@ from polyradii.convex_core import (
     VPolytope,
     _GaugeEvaluator,
     difference_hull,
+    hull_2d,
     member,
     minkowski_sum,
     transform,
@@ -714,6 +715,79 @@ def test_verify_chain_on_reuleaux_runs_no_monotone_chain(monkeypatch):
     k = transform(c, 1.0, [0.0, 0.0], reflect=True)
     assert verify_chain(k, c).ok
     assert runs == []
+
+
+def test_planar_sizes_are_linear_in_memory():
+    # Supports, gauges and the diameter's witness row come from angular
+    # searches, with no n x F product: at n = 384 (1 155 vertices, 2 304
+    # facets of K - K) each call stays within 8 MiB, where one dense product
+    # of K - K with the polar vertices of C - C is 40 MiB.  Fresh bodies, so
+    # each call prepares its hulls and facets inside the trace.
+    def fresh():
+        c = make_body(BodySpec("reuleaux_triangle", n=384))
+        return transform(c, 1.0, [0.0, 0.0], reflect=True), c
+
+    (k, c), (k2, c2) = fresh(), fresh()
+    calls = [(circumradius, (difference_hull(k), c)), (inradius, (difference_hull(k2), c2)),
+             (diameter, fresh()), (min_width, fresh()), (verify_chain, fresh())]
+    for call, args in calls:
+        tracemalloc.start()
+        try:
+            call(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20, (call.__name__, peak)
+
+
+def test_planar_containment_maps_the_sectors_of_the_inner_body(monkeypatch):
+    # The engine's inner body is the body translated and scaled by positive
+    # powers of two, so it reads its supports off the body's own sectors:
+    # once the bodies are prepared, R and r hull nothing and build no sectors.
+    c = make_body(BodySpec("reuleaux_triangle", n=24))
+    k = transform(c, 0.5, [3.0, -1.0], reflect=True)
+    first = circumradius(k, c), inradius(k, c)
+    built = []
+    monkeypatch.setattr(convex_core, "hull_2d", lambda p: built.append("hull"))
+    monkeypatch.setattr(convex_core._Sectors, "__init__",
+                        lambda self, starts, rows: built.append("sectors"))
+    again = circumradius(k, c), inradius(k, c)
+    assert built == []
+    for one, other in zip(first, again):
+        assert one.value == other.value and (one.center == other.center).all()
+
+
+def test_planar_sizes_see_a_vertex_that_hull_2d_drops():
+    # The notch (1e-6, -4.9e-7) turns by less than hull_2d's tolerance, so
+    # the hull drops it, yet it sticks out of the hull by 4.9e-7: supports,
+    # D, R and r must still see it, as the vertex maxima do.
+    k = VPolytope([[0.0, 0.0], [1e-6, -4.9e-7], [2e-6, 0.0], [0.0, 1.0]])
+    square = VPolytope([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    assert len(hull_2d(k.vertices)) == 3
+    directions = np.random.default_rng(21).normal(size=(200, 2))
+    dense = (directions @ k.vertices.T).max(axis=1)
+    np.testing.assert_allclose(support_values(k, directions), dense, rtol=0, atol=1e-15)
+    d = diameter(k, square)
+    assert d.value == pytest.approx(1 + 4.9e-7, rel=1e-15) and d.pair == (1, 3)
+    assert circumradius(k, square).value == pytest.approx(0.5 * (1 + 4.9e-7), rel=1e-12)
+    assert inradius(square, k).value == pytest.approx(1.99999902000048, rel=1e-12)
+    assert verify_chain(k, square).a2 == pytest.approx(1 + 4.9e-7, rel=1e-15)
+
+
+def test_flatness_of_the_gauge_is_the_rank_of_c_minus_c():
+    # A sliver of full rank whose slack is below the interior margin is a
+    # numerical failure in the diameter and the chain, not a flat gauge.
+    thin = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-10]])
+    with pytest.raises(RuntimeError,
+                       match=r"full rank, but origin is not interior .* \(slack 5.000e-11\)"):
+        diameter(SQUARE, thin)
+    with pytest.raises(RuntimeError, match="full rank, but no point has an interior slack"):
+        verify_chain(SQUARE, thin)
+    # At height 1e-12 C - C is flat by the same rule: bad input, as before.
+    flat = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-12]])
+    for call in (diameter, min_width, verify_chain):
+        with pytest.raises(ValueError):
+            call(SQUARE, flat)
 
 
 def test_recentred_gauge_is_certified_once(monkeypatch):

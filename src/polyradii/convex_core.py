@@ -7,14 +7,14 @@ That hull passes a polygon that is already its own hull through in one
 linear, vectorised check, and runs Andrew's monotone chain on anything
 else.  Halfspace representations exist solely in the plane, where facet
 enumeration is exact and cheap.  Gauges are evaluated here as well, by a
-batched ``_GaugeEvaluator`` built per call on what its body prepares once
-(``VPolytope``): a planar body's polar vertices when the origin is
-interior, read from the facet cone that an angular search finds for each
-point (``_Sectors``, which give planar supports too), else dual simplex
-walks in waves, each from the best cached facet cone and done at once where
-that cone holds its point.  The interior certificate ``interior_slack`` is
-its slack: in the plane the facet closed form min_f b_f / |n_f|_inf, or -1
-if some offset b_f is <= 0.
+batched ``_GaugeEvaluator`` on what its body prepares once (``VPolytope``):
+a planar body's polar vertices when the origin is interior, read from the
+facet cone that an angular search finds for each point (``_Sectors``,
+which give planar supports too), else dual simplex walks in waves, each
+from the best cached facet cone and done at once where that cone holds its
+point.  Calls fork the evaluator of the body's interior certificate
+(``_certified``), its slack: in the plane the facet closed form
+min_f b_f / |n_f|_inf, or -1 if some offset b_f is <= 0.
 """
 
 from __future__ import annotations
@@ -72,9 +72,9 @@ class VPolytope:
 
     What the read-only vertices alone determine (difference hull, rank,
     span, facets, polar vertices, gauge-LP columns, frames, half and
-    recentred bodies) is cached on first use by ``_prepared`` for the body's
-    lifetime, never in ``repr``, ``to_dict``, equality or pickles.  Gauge
-    evaluators learn facets as they walk and are never cached.
+    recentred bodies, the interior certificate) is cached on first use by
+    ``_prepared`` for the body's lifetime, never in ``repr``, ``to_dict``,
+    equality or pickles.  Each call forks the certificate's gauge evaluator.
     """
 
     vertices: np.ndarray
@@ -559,7 +559,8 @@ class _GaugeEvaluator:
     cone holds it; the first point, or one whose walk stops short, takes a
     gauge LP.  Each facet is cached once.  The gauge is inf off the cone
     of the vertices.  A flat body (``_flat_rank`` 1..d-1) has gauge inf off its
-    span V_r; an inner evaluator of V_r^T v answers V_r^T x, and y maps to V_r y.
+    span V_r; an inner evaluator of V_r^T v, a fork of that body's
+    certificate, answers V_r^T x, and y maps to V_r y.
     """
 
     def __init__(self, body: VPolytope):
@@ -568,8 +569,8 @@ class _GaugeEvaluator:
         rank, vt = body._rank()
         if 0 < rank < body.dim:  # flat: V_r, orthonormal, and the evaluator on it
             self.span = vt[:rank].T
-            self.inner = _GaugeEvaluator(
-                body._prepared("span", lambda: VPolytope(body.vertices @ self.span)))
+            self.inner = _certified(
+                body._prepared("span", lambda: VPolytope(body.vertices @ self.span)))[0].fork()
             return
         if body.dim == 2:
             f = body._prepared("facets", lambda: facets_2d(body))
@@ -593,6 +594,16 @@ class _GaugeEvaluator:
         # included), and the waves (calls of _walk).
         self.solved = self.walks = self.waves = 0
 
+    def fork(self) -> "_GaugeEvaluator":
+        """A copy that starts from the facets cached here and keeps what it
+        learns, and its counts, to itself: ``_cache`` rebinds the facet
+        arrays and never writes into them, and ``_walk`` walks on copies."""
+        out = copy.copy(self)
+        out.solved = out.walks = out.waves = 0
+        if self.span is not None:
+            out.inner = self.inner.fork()
+        return out
+
     def __call__(self, points) -> np.ndarray:
         return self.with_normals(points)[0]
 
@@ -605,8 +616,9 @@ class _GaugeEvaluator:
         Rows whose gauge is inf get a nan normal.  Off the plane every row
         walks, in waves of as many lanes as keep a pivot's
         two (lanes, n) products over the n vertex columns within
-        ``_WAVE_CELLS``; after each wave the new facets that its walks and
-        LPs reached are cached, and later waves start from them.
+        ``_WAVE_CELLS``; after each wave the new facets that its LPs and the
+        walks that left their start basis reached are cached, and later
+        waves start from them.
         """
         points = np.atleast_2d(points)
         if self.span is not None:
@@ -628,18 +640,20 @@ class _GaugeEvaluator:
             size = lanes if self.bases.size else 1  # a body's first point takes the LP alone
             wave, waiting = waiting[:size], waiting[size:]
             self.waves += 1
-            values[wave], normals[wave], bases = self._walk(points[wave])
-            unwalked = np.flatnonzero(np.isnan(values[wave]))
-            self.walks += wave.size - unwalked.size
-            self.solved += unwalked.size
-            for j in unwalked:
+            values[wave], normals[wave], bases, moved = self._walk(points[wave])
+            unwalked = np.isnan(values[wave])
+            self.solved += int(unwalked.sum())
+            self.walks += wave.size - int(unwalked.sum())
+            for j in np.flatnonzero(unwalked):
                 values[wave[j]], normal, basis = self.lp(points[wave[j]])
                 if basis is not None:
                     normals[wave[j]], bases[j] = normal, basis
-            self._cache(bases[np.isfinite(values[wave])])
+            learned = (moved | unwalked) & np.isfinite(values[wave])
+            if learned.any():
+                self._cache(bases[learned])
         return values, normals
 
-    def _walk(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _walk(self, points: np.ndarray) -> tuple[np.ndarray, ...]:
         """The gauge LP's answers for a wave of rows by one batched dual
         simplex (Lemke 1954), each row started at the cached facet with the
         largest y_f.x.  Each basis B keeps 1 - a_j.y >= 0 at y = B^-T 1; at
@@ -654,15 +668,15 @@ class _GaugeEvaluator:
         pivots; every row gets nan when no facet is cached.  A stopped row
         keeps its basis: rows are classified once.
 
-        Returns the values, the normals B^-T 1 (nan where there is none)
-        and each row's last basis, the one to cache where the value is
-        finite.
+        Returns the values, the normals B^-T 1 (nan where there is none),
+        each row's last basis, the one to cache where the value is finite,
+        and whether it left the row's start basis.
         """
         count, d = points.shape
         values = np.full(count, np.nan)
         normals = np.full((count, d), np.nan)
         if not self.bases.size:
-            return values, normals, np.zeros((count, d), dtype=int)
+            return values, normals, np.zeros((count, d), dtype=int), np.zeros(count, bool)
         start = (points @ self.normals.T).argmax(axis=1)
         basis, inverse = self.bases[start], self.inverses[start]
         x, rows = points * self.lp.scale, np.arange(count)
@@ -695,7 +709,7 @@ class _GaugeEvaluator:
         values[done] = np.maximum(weights[done].sum(axis=1), 0.0)
         normals[done] = y[done] * self.lp.scale
         values[~optimal & ~stuck] = np.inf
-        return values, normals, basis
+        return values, normals, basis, (basis != self.bases[start]).any(axis=1)
 
     def _cache(self, bases: np.ndarray) -> None:
         """Cache the facets among optimal ``bases`` whose d columns are vertex
@@ -739,10 +753,21 @@ class _GaugeEvaluator:
         return -1.0 if top == np.inf else 1.0 / top
 
 
+def _certified(p: VPolytope) -> tuple[_GaugeEvaluator, float]:
+    """p's interior certificate, prepared once per body: the evaluator that
+    ran ``slack``, with the facet cones it met, and the slack.  Every gauge
+    evaluator of p is a ``fork`` of it."""
+    def build():
+        evaluate = _GaugeEvaluator(p)
+        return evaluate, evaluate.slack()
+
+    return p._prepared("certificate", build)
+
+
 def interior_slack(p: VPolytope, point) -> float:
     """``_GaugeEvaluator.slack`` of the body translated by -point; a slack
     of at least ``_interior_margin(p)`` certifies ``point`` interior."""
-    return _GaugeEvaluator(VPolytope(p.vertices - _as_vector(point, p.dim))).slack()
+    return _certified(VPolytope(p.vertices - _as_vector(point, p.dim)))[1]
 
 
 # ---------------------------------------------------------------------------

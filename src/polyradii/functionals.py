@@ -6,12 +6,12 @@ for the direction, and gauges come from convex_core's ``_GaugeEvaluator``,
 which reads them off the polar vertex of the facet cone that the same
 search finds in the plane and off the facet cones its gauge LP and walks
 have met elsewhere, and can return the polar vertex attaining each value
-(the containment engine's cuts).  A GaugeBody keeps the evaluator that certified
-its origin, so every later gauge of it reuses those cones.  Radius and chord
-lengths are reciprocal gauges.  A gauge is always evaluated on the body
-exactly as given; it is an error if the origin is not interior, because the
-Minkowski functional is translation sensitive and silent recentering would
-change its values.
+(the containment engine's cuts).  Every evaluator of a body, a GaugeBody's
+included, forks the one that certified its origin, prepared once, so it
+starts from those cones.  Radius and chord lengths are reciprocal gauges.
+A gauge is always evaluated on the body exactly as given; it is an error if
+the origin is not interior, because the Minkowski functional is translation
+sensitive and silent recentering would change its values.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .convex_core import (
     VPolytope,
     _GaugeEvaluator,
     _as_vector,
+    _certified,
     _interior_margin,
     _support_sectors,
     difference_hull,
@@ -48,21 +49,20 @@ class FunctionalValue:
 
 @dataclass(frozen=True, eq=False)
 class GaugeBody:
-    """A polytope certified to contain the origin in its interior.  Its one
-    gauge evaluator, built on first use, keeps the facet cones it meets."""
+    """A polytope whose prepared slack certifies the origin interior.  Its one
+    gauge evaluator, forked from the certificate's on first use, keeps the cones it meets."""
 
     body: VPolytope
 
     @classmethod
     def from_polytope(cls, body: VPolytope) -> "GaugeBody":
-        gauge_body = cls(body)
-        margin = gauge_body._evaluate.slack()
+        margin = _certified(body)[1]
         if margin < _interior_margin(body):
             raise GaugeError(
                 "origin is not interior to the gauge body "
                 f"(slack {margin:.3e}); translate the body first"
             )
-        return gauge_body
+        return cls(body)
 
     @property
     def dim(self) -> int:
@@ -70,7 +70,7 @@ class GaugeBody:
 
     @cached_property
     def _evaluate(self) -> _GaugeEvaluator:
-        return _GaugeEvaluator(self.body)
+        return _certified(self.body)[0].fork()
 
 
 def support(k: VPolytope, u) -> FunctionalValue:
@@ -134,7 +134,7 @@ def max_chord(k: VPolytope, u) -> FunctionalValue:
     direction = _as_vector(u, k.dim)
     if np.linalg.norm(direction) < EPS_GEOMETRY:
         raise ValueError("direction must be nonzero")
-    value = _GaugeEvaluator(difference_hull(k))(direction)[0]
+    value = _certified(difference_hull(k))[0].fork()(direction)[0]
     if not np.isfinite(value):
         # The ray leaves the difference body immediately: zero-length chord.
         return FunctionalValue(0.0, np.zeros(k.dim))

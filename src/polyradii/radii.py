@@ -43,6 +43,7 @@ from .convex_core import (
     _WAVE_CELLS,
     _GaugeEvaluator,
     _as_vector,
+    _certified,
     _column_scales,
     _extent,
     _interior_margin,
@@ -169,8 +170,8 @@ class _Frame:
     ``_flat_rank``: the columns of ``hull`` are its axes (the identity,
     which is exact, when it is all of space), and each axis is scaled by
     the power of two in ``scales``.  ``extent`` is the largest entry of the
-    translated vertices, and ``evaluate`` the gauge evaluator of the framed
-    vertices (None when the hull is a point), the one part built per call.
+    translated vertices, and ``evaluate`` a gauge evaluator of the framed
+    vertices (None when the hull is a point), the one part forked per call.
     """
 
     shift: np.ndarray
@@ -199,7 +200,7 @@ def _frame(outer: VPolytope, known: _GaugeEvaluator | None = None,
     hull, scales, extent, framed = centred._prepared("frame", build)
     if framed is None or known is None or not np.array_equal(known.body.vertices,
                                                              framed.vertices):
-        known = None if framed is None else _GaugeEvaluator(framed)
+        known = None if framed is None else _certified(framed)[0].fork()
     shift = np.zeros(outer.dim) if origin else outer.vertices.mean(axis=0)
     return _Frame(shift, hull, scales, extent, known)
 
@@ -462,7 +463,7 @@ def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
 
     # The origin vertex of C-C imposes no constraint.
     nonzero = np.linalg.norm(b.vertices, axis=1) > 1e-12 * _extent(b)
-    values, normals = _GaugeEvaluator(a).with_normals(b.vertices[nonzero])
+    values, normals = _certified(a)[0].fork().with_normals(b.vertices[nonzero])
     _require_finite(values, f"min_width: the gauge LP of K-K ({d} x {len(a)})")
     top = float(values.max())
     normal = normals[int(np.argmax(values >= _tie_floor(top)))]
@@ -493,7 +494,7 @@ def symmetric_circumradius(k: VPolytope, c: GaugeBody) -> float:
     because the identity fails for non-centered bodies.
     """
     _check_dims(k, c)
-    if not _is_centered(_GaugeEvaluator(k)):
+    if not _is_centered(_certified(k)[0].fork()):
         raise ValueError("symmetric circumradius needs a centered body")
     if not _is_centered(c._evaluate):
         raise ValueError("symmetric circumradius needs a centered gauge body")
@@ -510,44 +511,37 @@ def interior_point(p: VPolytope) -> np.ndarray:
 
     A point certifies when its ``interior_slack`` is at least
     ``_interior_margin(p)``, as in ``GaugeBody.from_polytope``; the slack of
-    the cross-polytope's centre is its inradius r(P, conv{±e_k}).  Raises
-    LowerDimensionalError when no point certifies, i.e. the hull has empty
-    interior at working precision; the engine gives r = 0 for flat bodies.
+    the cross-polytope's centre is its inradius r(P, conv{±e_k}).  If none
+    certifies, P is flat when P-P is (LowerDimensionalError), the rule of
+    ``diameter`` and ``min_width``, and else a numerical failure
+    (RuntimeError).  The engine gives r = 0 for flat bodies.
     """
-    return _interior_gauge_at(p)[0]
+    return _interior_gauge_at(p)[1]
 
 
-def _interior_gauge_at(p: VPolytope) -> tuple[np.ndarray, GaugeBody]:
-    """``interior_point(p)`` and p translated by it as a gauge body, which
-    keeps the evaluator whose slack certified the centroid."""
+def _interior_gauge_at(p: VPolytope) -> tuple[GaugeBody, np.ndarray]:
+    """p translated by ``interior_point(p)`` as a gauge body, and that point."""
     try:
-        return p.vertices.mean(axis=0), GaugeBody.from_polytope(_recentred(p))
+        return GaugeBody.from_polytope(_recentred(p)), p.vertices.mean(axis=0)
     except GaugeError:
         pass
     fit = inradius(p, VPolytope(np.vstack([np.eye(p.dim), -np.eye(p.dim)])))
     if fit.value >= _interior_margin(p):
-        return fit.center, GaugeBody(VPolytope(p.vertices - fit.center))
-    raise LowerDimensionalError("polytope has empty interior")
+        return GaugeBody(VPolytope(p.vertices - fit.center)), fit.center
+    if difference_hull(p)._rank()[0] < p.dim:
+        raise LowerDimensionalError("polytope has empty interior")
+    raise RuntimeError("the body has full rank, but no point has an interior "
+                       f"slack of at least {_interior_margin(p):.3e}")
 
 
 def _interior_gauge(c: VPolytope) -> tuple[GaugeBody, np.ndarray]:
     """C as a gauge body: as given when the origin is interior, else
-    recentered at the point that ``interior_point`` has certified.  C is
-    flat when C-C is, the rule of ``diameter`` and ``min_width``: a C whose
-    C-C has full rank and that has no certified point is a numerical
-    failure, not a flat body."""
+    recentered at the point that ``interior_point`` has certified."""
     try:
         return GaugeBody.from_polytope(c), np.zeros(c.dim)
     except GaugeError:
         pass
-    try:
-        shift, gauge_body = _interior_gauge_at(c)
-    except LowerDimensionalError as exc:
-        if difference_hull(c)._rank()[0] < c.dim:
-            raise
-        raise RuntimeError("the gauge body has full rank, but no point has an interior "
-                           f"slack of at least {_interior_margin(c):.3e}") from exc
-    return gauge_body, shift
+    return _interior_gauge_at(c)
 
 
 def _unit_rows(vertices: np.ndarray) -> np.ndarray:
@@ -599,7 +593,7 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     # the vertex directions of A attain the supremum in every dimension.
     # Skip the directions with no chord of K-K or a vanishing chord of C-C.
     chord_sweep = np.vstack([_unit_rows(a.vertices), directions])
-    gamma_a = _GaugeEvaluator(a)(chord_sweep)
+    gamma_a = _certified(a)[0].fork()(chord_sweep)
     gamma_b = 0.5 * half._evaluate(chord_sweep)  # C-C = 2 (C-C)/2
     keep = np.isfinite(gamma_a) & (gamma_b < 1e12)
     chord_value = 2.0 * float(np.max(gamma_b[keep] / gamma_a[keep])) if keep.any() else 0.0

@@ -227,19 +227,15 @@ def _assert_cache_matches_gauge_lps(monkeypatch, body, points):
 
 def _record_walks(monkeypatch):
     """Wrap ``_GaugeEvaluator._walk``; for each call, append the evaluator,
-    the walked values and whether each row's basis left the cached facet it
-    started from (the one with the largest y_f.x), i.e. took a pivot."""
+    the walked values and whether each row took a pivot off the cached
+    facet it started from (the one with the largest y_f.x)."""
     walked = []
     walk = _GaugeEvaluator._walk
 
     def recorded(evaluate, points):
-        start = None
-        if evaluate.bases.size:
-            start = evaluate.bases[(points @ evaluate.normals.T).argmax(axis=1)]
-        values, normals, bases = walk(evaluate, points)
-        moved = np.zeros(points.shape[0], dtype=bool) if start is None else (bases != start).any(axis=1)
-        walked.append((evaluate, values, moved))
-        return values, normals, bases
+        answer = walk(evaluate, points)
+        walked.append((evaluate, answer[0], answer[3]))
+        return answer
 
     monkeypatch.setattr(_GaugeEvaluator, "_walk", recorded)
     return walked
@@ -395,6 +391,32 @@ def test_walk_inverts_lane_by_lane_at_a_singular_stack(monkeypatch):
     np.testing.assert_allclose(np.einsum("ij,ij->i", normals, points), values,
                                rtol=1e-12, atol=1e-12)
     assert (body.vertices @ normals.T).max() <= 1.0 + 1e-12
+
+
+def test_a_fork_keeps_what_it_learns_to_itself():
+    # Walking a fork of a body's certificate caches new facets in the fork
+    # alone: the certificate's facet arrays stay as they were, so a second
+    # fork starts where the first did and gives the same bits.  A flat
+    # body's fork forks its inner evaluator too.
+    rng = np.random.default_rng(17)
+    plane = np.linalg.qr(rng.normal(size=(4, 4)))[0][:, :3]
+    for body in (difference_hull(VPolytope(rng.normal(size=(10, 3)))),
+                 VPolytope(rng.normal(size=(12, 3)) @ plane.T)):
+        certified = convex_core._certified(body)[0]
+        walker = certified if certified.span is None else certified.inner
+        bases, waves = walker.bases.copy(), walker.waves
+        arrays = walker.bases, walker.inverses, walker.normals
+        points = rng.normal(size=(200, 3)) @ (np.eye(3) if certified.span is None else plane.T)
+        first = certified.fork()
+        values, normals = first.with_normals(points)
+        learned = first if first.span is None else first.inner
+        assert learned.bases.shape[0] > bases.shape[0] and learned is not walker
+        assert all(a is b for a, b in zip(arrays, (walker.bases, walker.inverses,
+                                                   walker.normals)))
+        assert (walker.bases == bases).all() and walker.waves == waves
+        again = certified.fork().with_normals(points)
+        assert values.tobytes() == again[0].tobytes()
+        assert normals.tobytes() == again[1].tobytes()
 
 
 def test_flat_body_is_evaluated_in_its_span_and_inf_off_its_cone(monkeypatch):

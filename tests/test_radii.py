@@ -790,22 +790,46 @@ def test_flatness_of_the_gauge_is_the_rank_of_c_minus_c():
             call(SQUARE, flat)
 
 
+@pytest.mark.parametrize("height", [1e-8, 1e-10, 3e-12, 1e-12])
+def test_sliver_gauges_follow_one_flatness_rule(height):
+    # Every entry point reads flatness off the rank of C - C: at each height
+    # all three answer, or all reject a flat body (ValueError), or all call
+    # a full-rank body without a certified interior point a numerical
+    # failure (RuntimeError).
+    sliver = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.5, height]])
+    outcomes = []
+    for call in (lambda: radii.interior_point(sliver), lambda: diameter(SQUARE, sliver),
+                 lambda: verify_chain(SQUARE, sliver)):
+        try:
+            call()
+            outcomes.append(None)
+        except ValueError:
+            outcomes.append(ValueError)
+        except RuntimeError:
+            outcomes.append(RuntimeError)
+    assert len(set(outcomes)) == 1, outcomes
+
+
 def test_recentred_gauge_is_certified_once(monkeypatch):
-    # interior_point certifies the shift, so the shifted gauge body is not
-    # certified again: the origin, the centroid and (C-C)/2, one slack each.
+    # Each body prepares its interior certificate once: interior_point's
+    # shifted gauge body is not certified again, no vertex array is
+    # certified twice, and a second chain on the same bodies certifies
+    # nothing.
     calls = []
     real = convex_core._GaugeEvaluator.slack
 
     def counted(evaluate):
-        calls.append(evaluate)
+        calls.append(evaluate.body.vertices.tobytes())
         return real(evaluate)
 
     monkeypatch.setattr(convex_core._GaugeEvaluator, "slack", counted)
     cube = make_body(BodySpec("cube", dim=3))
-    simplex = make_body(BodySpec("simplex", dim=3))
-    report = verify_chain(cube, VPolytope(simplex.vertices + 5.0), tol=1e-6)
-    assert report.ok
-    assert len(calls) == 3
+    shifted = VPolytope(make_body(BodySpec("simplex", dim=3)).vertices + 5.0)
+    assert verify_chain(cube, shifted, tol=1e-6).ok
+    assert calls and len(calls) == len(set(calls))
+    calls.clear()
+    assert verify_chain(cube, shifted, tol=1e-6).ok
+    assert calls == []
 
 
 def test_chain_recenteres_badly_placed_gauges():
@@ -1072,16 +1096,23 @@ def test_spatial_chain_stays_within_its_memory_bound():
 
 
 def _recorded_evaluators(monkeypatch):
-    """Every gauge evaluator built from here on, in order."""
-    built = []
-    init = _GaugeEvaluator.__init__
+    """The gauge evaluators built from here on, each to certify a body, and
+    the forks of them that calls evaluate with, in order.  A fork counts
+    its own waves, walks and LPs only."""
+    certified, forked = [], []
+    init, fork = _GaugeEvaluator.__init__, _GaugeEvaluator.fork
 
-    def recorded(evaluate, body):
+    def recorded_init(evaluate, body):
         init(evaluate, body)
-        built.append(evaluate)
+        certified.append(evaluate)
 
-    monkeypatch.setattr(_GaugeEvaluator, "__init__", recorded)
-    return built
+    def recorded_fork(evaluate):
+        forked.append(fork(evaluate))
+        return forked[-1]
+
+    monkeypatch.setattr(_GaugeEvaluator, "__init__", recorded_init)
+    monkeypatch.setattr(_GaugeEvaluator, "fork", recorded_fork)
+    return certified, forked
 
 
 def test_spatial_diameter_evaluates_all_pairs_in_one_call(monkeypatch):
@@ -1120,7 +1151,7 @@ def test_spatial_chain_walks_in_waves_within_the_cell_budget(monkeypatch):
     rng = np.random.default_rng(3)
     k = VPolytope(rng.normal(size=(30, 4)))
     c = rng.normal(size=(30, 4))
-    built = _recorded_evaluators(monkeypatch)
+    certified, forked = _recorded_evaluators(monkeypatch)
     waves = []
     walk = _GaugeEvaluator._walk
 
@@ -1130,7 +1161,8 @@ def test_spatial_chain_walks_in_waves_within_the_cell_budget(monkeypatch):
 
     monkeypatch.setattr(_GaugeEvaluator, "_walk", recorded)
     assert verify_chain(k, VPolytope(c - c.mean(axis=0))).ok
-    off_plane = [evaluate for evaluate in built if evaluate.polar_vertices is None]
+    off_plane = [evaluate for evaluate in certified + forked
+                 if evaluate.polar_vertices is None]
     assert sum(evaluate.waves for evaluate in off_plane) == len(waves)
     assert 10 * len(waves) < sum(rows for rows, _ in waves)
     assert sum(evaluate.solved for evaluate in off_plane) <= 20
@@ -1141,16 +1173,17 @@ def test_spatial_chain_walks_in_waves_within_the_cell_budget(monkeypatch):
 
 def test_chain_builds_one_evaluator_per_vertex_array(monkeypatch):
     # a4 and 2R share C's frame, and C recentred at its certified centroid
-    # keeps the evaluator that certified it, which is also that frame's.
+    # forks one evaluator from its certificate, which is also that frame's.
     rng = np.random.default_rng(8)
     k = VPolytope(rng.normal(size=(6, 4)))
     c = VPolytope(rng.normal(size=(6, 4)) + 3.0)
-    built = _recorded_evaluators(monkeypatch)
+    certified, forked = _recorded_evaluators(monkeypatch)
     assert verify_chain(k, c).ok
-    arrays = [evaluate.body.vertices.tobytes() for evaluate in built]
-    assert len(arrays) == len(set(arrays))
     centred = (c.vertices - c.vertices.mean(axis=0)).tobytes()
-    assert arrays.count(centred) == 1
+    for built in (certified, forked):
+        arrays = [evaluate.body.vertices.tobytes() for evaluate in built]
+        assert len(arrays) == len(set(arrays))
+        assert arrays.count(centred) == 1
 
 
 def test_unit_scale_chain_builds_one_evaluator_of_half_the_difference_body(monkeypatch):
@@ -1160,11 +1193,12 @@ def test_unit_scale_chain_builds_one_evaluator_of_half_the_difference_body(monke
     k = VPolytope(rng.normal(size=(8, 3)))
     c = VPolytope(rng.normal(size=(8, 3)))
     half = 0.5 * difference_hull(c).vertices
-    built = _recorded_evaluators(monkeypatch)
+    certified, forked = _recorded_evaluators(monkeypatch)
     assert verify_chain(k, c).ok
-    assert sum(evaluate.body.vertices.shape == half.shape
-               and np.allclose(evaluate.body.vertices, half, rtol=0.0, atol=1e-12)
-               for evaluate in built) == 1
+    for built in (certified, forked):
+        assert sum(evaluate.body.vertices.shape == half.shape
+                   and np.allclose(evaluate.body.vertices, half, rtol=0.0, atol=1e-12)
+                   for evaluate in built) == 1
 
 
 def test_chain_of_a_flat_body_walks_in_its_span(monkeypatch):
@@ -1239,6 +1273,7 @@ def _purity_cases():
         (rng.normal(size=(7, 4)), rng.normal(size=(7, 4))),
         (np.c_[rng.normal(size=(12, 2)), np.zeros(12)] @ plane.T, rng.normal(size=(8, 3))),
         (rng.normal(size=(8, 3)), centred + 0.05),
+        (rng.normal(size=(8, 3)), rng.normal(size=(8, 3)) + 3.0),  # origin outside C
     ]
 
 
@@ -1251,11 +1286,11 @@ def _bits(result):
 
 
 def test_prepared_bodies_give_bit_identical_results_in_any_call_order():
-    # Only pure data of a body is kept on it.  A gauge evaluator learns
-    # facets as it walks, so caching one would make off-plane results
-    # depend on the calls before them.  Each call on shared objects, made
-    # once in order and again after all the others, must match the same
-    # call on fresh objects bit for bit.
+    # A body keeps only what its vertices fix, its interior certificate
+    # included.  Gauge evaluators learn facets as they walk, so each call
+    # forks its own from the certificate's, and what it learns stays there.
+    # Each call on shared objects, made once in order and again after all
+    # the others, must match the same call on fresh objects bit for bit.
     cases = _purity_cases()
     quantities = (circumradius, inradius, diameter, min_width, verify_chain)
     calls = [(quantity, i) for i in range(len(cases)) for quantity in quantities]

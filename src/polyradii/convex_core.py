@@ -379,7 +379,9 @@ class _Sectors:
     """
 
     def __init__(self, starts: np.ndarray, rows: np.ndarray):
-        first = int(np.argmin(starts))
+        # Rotate at the fan's one descent, not at its least start: the zero-
+        # width sectors of a collinear hull may tie at the least start.
+        first = int(np.argmin(starts - np.roll(starts, 1)))
         self.count, self.starts = starts.size, np.concatenate((starts[first:], starts[:first]))
         # The rows by ascending start, with two more wrapped on each side:
         # the sector found for a point and its neighbours are three

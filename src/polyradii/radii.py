@@ -1,14 +1,14 @@
 """Circumradius, inradius, diameter, and minimum width relative to a gauge body.
 
 Every quantity reduces to a containment problem solved by linear
-programming.  Circumradius and inradius share one engine in every
+programming.  Circumradius and inradius share one program in every
 dimension: K lies in x + lambda*C exactly when h_K(u) <= <u, x> +
-lambda h_C(u) for every facet normal u of C (and x + lambda*C in K is the
-mirror condition over the facets of K).  Kelley's cutting planes solve this
+lambda h_C(u) for every facet normal u of C, and containment of homothets
+is self-dual, so r(K, C) = 1 / R(C, K).  Kelley's cutting planes solve this
 support-function program on a master of d + 1 rows, and a batched gauge of
-the outer body supplies the facets the master's solution violates.  In the
-plane every facet is known at the start, so one master solve suffices;
-flat bodies are restricted to their affine hull first.  Gauges are read
+C supplies the facets the master's solution violates.  In the plane every
+facet is known at the start, so one master solve suffices; a flat C is
+restricted to its affine hull first.  Gauges are read
 off the facets in the plane and off the facet cones their LPs have met
 elsewhere; planar gauges and supports take one angular search per point,
 so no planar path forms a product of two vertex lists.  The planar
@@ -58,7 +58,7 @@ from .functionals import (
     gauge,
     support_values,
 )
-from .lp_solver import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram
+from .lp_solver import EQUAL, LESS_EQUAL, LinearProgram
 
 _CENTERED_TOL = 1e-9
 
@@ -146,19 +146,37 @@ def _check_dims(k: VPolytope, c: VPolytope) -> None:
 
 
 # ---------------------------------------------------------------------------
-# circumradius and inradius: one containment engine
+# circumradius and inradius: one containment program
 
 
 def circumradius(k: VPolytope, c: VPolytope) -> RadiiResult:
     """Least lambda such that some translate x + lambda*C contains K."""
     _check_dims(k, c)
-    return _containment("circumradius", k, c)
+    return RadiiResult("R", *_circumradius(k, c))
+
+
+def _circumradius(k: VPolytope, c: VPolytope,
+                  frame: _Frame | None = None) -> tuple[float, np.ndarray]:
+    """R(K, C) and its centre, or RuntimeError when K leaves a flat C's hull."""
+    lam, center = _containment("circumradius", k, c, frame)
+    if np.isinf(lam):
+        raise RuntimeError("circumradius is unbounded: no multiple of the flat "
+                           "gauge body covers the body")
+    return lam, center
 
 
 def inradius(k: VPolytope, c: VPolytope) -> RadiiResult:
-    """Greatest lambda such that some translate x + lambda*C fits inside K."""
+    """Greatest lambda such that some translate x + lambda*C fits inside K:
+    1 / R(C, K), with centre -y / R for R's centre y, since C lies in
+    y + mu*K exactly when -y/mu + C/mu lies in K.  A C that leaves a flat
+    K's affine hull has R = inf, and r = 0 at K's vertex centroid."""
     _check_dims(k, c)
-    return _containment("inradius", k, c)
+    if not np.ptp(c.vertices, axis=0).any():
+        raise ValueError("inradius is unbounded: the gauge body is a single point")
+    mu, y = _containment("inradius", c, k)
+    if np.isinf(mu):
+        return RadiiResult("r", 0.0, center=k.vertices.mean(axis=0))
+    return RadiiResult("r", 1.0 / mu, center=(0.0 - y) / mu)  # no -0.0 where y is 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,48 +229,38 @@ def _recentred(p: VPolytope) -> VPolytope:
 
 
 def _containment(program: str, k: VPolytope, c: VPolytope,
-                 frame: _Frame | None = None) -> RadiiResult:
-    """R (``program`` "circumradius") or r ("inradius") by facet generation.
+                 frame: _Frame | None = None) -> tuple[float, np.ndarray]:
+    """R(K, C) and its centre by facet generation; ``program`` names the
+    quantity asked for in error messages.
 
-    The outer body (C for R, K for r) is put in its ``_frame``, which the
-    caller may pass when it has one, and the inner body is translated to
-    its vertex centroid: an inner body that leaves the outer body's affine
-    hull has no finite R, and r = 0.  The inner body is scaled like the
-    outer one, and by one more power of two, so lambda is near 1 for long
-    thin bodies too; the radius does not see these maps.
+    C is put in its ``_frame``, which the caller may pass when it has one,
+    and K is translated to its vertex centroid: a K that leaves C's affine
+    hull has no finite R, and lambda is inf.  K is scaled like C, and by one
+    more power of two, so lambda is near 1 for long thin bodies too; the
+    radius does not see these maps.
     """
-    circum = program == "circumradius"
-    if not circum and not np.ptp(c.vertices, axis=0).any():
-        raise ValueError("inradius is unbounded: the gauge body is a single point")
     if frame is None:
-        frame = _frame(c if circum else k)
-    source = k if circum else c
-    inner_shift = source.vertices.mean(axis=0)
-    inner = source.vertices - inner_shift
-    k_shift, c_shift = (inner_shift, frame.shift) if circum else (frame.shift, inner_shift)
+        frame = _frame(c)
+    inner_shift = k.vertices.mean(axis=0)
+    inner = k.vertices - inner_shift
     hull = frame.hull
     size = max(frame.extent, np.abs(inner).max())
     if np.abs(inner - inner @ hull @ hull.T).max() > 1e-12 * size:
-        if circum:
-            raise RuntimeError("circumradius is unbounded: no multiple of the flat "
-                               "gauge body covers the body")
-        return RadiiResult("r", 0.0, center=k_shift)
+        return np.inf, inner_shift
     inner = inner @ hull * frame.scales
-    # R(aK, C) = a R(K, C) with centre a x; r(K, aC) = r(K, C) / a, same centre.
+    # R(aK, C) = a R(K, C) with centre a x.
     a = _power_of_two_scale(float(np.abs(inner).max(initial=0.0)))
     lam, x = 0.0, np.zeros(0)
     if hull.shape[1]:
         inner_body = VPolytope(a * inner)
         if hull.shape[1] == 2:
-            # The full planar frame is the identity: the inner body is the
-            # source translated and scaled, and reads its supports off the
-            # source's sectors.
-            inner_body._prepared("support sectors", lambda: _support_sectors(source).mapped(
+            # The full planar frame is the identity: the inner body is K
+            # translated and scaled, and reads its supports off K's sectors.
+            inner_body._prepared("support sectors", lambda: _support_sectors(k).mapped(
                 inner_shift, frame.scales, a))
         lam, x = _facet_generation(program, inner_body, frame.evaluate)
-    lam, x = (lam / a, x / a) if circum else (lam * a, x)
-    center = k_shift + hull @ (x / frame.scales) - lam * c_shift
-    return RadiiResult("R" if circum else "r", lam, center=center)
+    lam, x = lam / a, x / a
+    return lam, inner_shift + hull @ (x / frame.scales) - lam * frame.shift
 
 
 def _require_finite(values: np.ndarray, program: str) -> None:
@@ -267,58 +275,46 @@ def _facet_generation(program: str, inner_body: VPolytope,
     """Kelley's cutting planes on the support-function containment program.
 
     The outer body is full-dimensional with the origin interior.  Every
-    direction u gives a valid cut, with b = h_outer(u) and h = h_inner(u):
-    R is min lambda with <u, x> + b lambda >= h, and r is max lambda with
-    <u, x> + h lambda <= b.  Each master solves the dual program on the
-    cuts so far, d + 1 rows whatever their number, and the oracle evaluates
-    the gauge of the outer body where the master's solution needs it: at
-    v_j - x over K's vertices for R, at x + lambda c_i over C's for r.  The
-    polar vertices attaining it at the violated points are the next cuts,
-    so a cut costs no LP of its own.  The loop stops when the oracle's bound
-    is within 1e-9 max(1, lambda) of the master's.  In the plane every facet
-    is a cut from the start, so the first oracle call ends the loop; off the
-    plane R starts with no cut and r with the bounding box of K, which keeps
-    its master bounded.  The outer body is ``evaluate.body``; a planar
-    inner body may carry the support sectors of the body it was mapped from.
+    direction u gives a valid cut of min lambda subject to
+    <u, x> + b lambda >= h, with b = h_outer(u) and h = h_inner(u).  Each
+    master solves the dual program on the cuts so far, d + 1 rows whatever
+    their number, and the oracle evaluates the gauge of the outer body at
+    v_j - x over the inner body's vertices.  The polar vertices attaining it
+    at the violated points are the next cuts, so a cut costs no LP of its
+    own.  The loop stops when the oracle's bound is within 1e-9 max(1,
+    lambda) of the master's.  In the plane every facet is a cut from the
+    start, so the first oracle call ends the loop; off the plane the first
+    master has no cut.  The outer body is ``evaluate.body``; a planar inner
+    body may carry the support sectors of the body it was mapped from.
+    ``program`` names the quantity in error messages.
     """
-    circum = program == "circumradius"
-    d, outer = evaluate.dim, evaluate.body.vertices
-    inner, outer_body = inner_body.vertices, evaluate.body
+    d, outer_body, inner = evaluate.dim, evaluate.body, inner_body.vertices
+    normals, offsets = np.empty((0, d)), np.empty(0)
     if evaluate.facets is not None:
         normals, offsets = evaluate.facets.normals, evaluate.facets.offsets
-    elif circum:
-        normals, offsets = np.empty((0, d)), np.empty(0)
-    else:
-        normals = np.vstack([np.eye(d), -np.eye(d)])
-        offsets = np.concatenate([outer.max(axis=0), -outer.min(axis=0)])
     supports = support_values(inner_body, normals)
     lam, x, gap = 0.0, np.zeros(d), np.inf
     for _ in range(_MAX_CUT_ROUNDS):
         master = f"{program} facet LP ({d + 1} x {offsets.size})"
         if offsets.size:
-            # Dual form of the primal: max h'y with U'y = 0, b'y <= 1 for R,
-            # min b'y with U'y = 0, h'y >= 1 for r, y >= 0.  The duals of the
-            # U'y = 0 rows are the centre (negated for R).  b and h are
-            # divided by their common max-abs scale, which keeps lambda and
-            # scales the centre back, so the LP tolerances hold at any size.
+            # Dual form of the primal: max h'y with U'y = 0, b'y <= 1, y >= 0.
+            # The duals of the U'y = 0 rows are minus the centre.  b and h
+            # are divided by their common max-abs scale, which keeps lambda
+            # and scales the centre back, so the LP tolerances hold at any size.
             scale = float(max(np.abs(offsets).max(), np.abs(supports).max())) or 1.0
             b, h = offsets / scale, supports / scale
-            cost, last, relation = (-h, b, LESS_EQUAL) if circum else (b, h, GREATER_EQUAL)
-            out = lp_solver.solve(LinearProgram(cost, np.vstack([normals.T, last]),
-                                                (EQUAL,) * d + (relation,), np.eye(d + 1)[d]))
+            out = lp_solver.solve(LinearProgram(-h, np.vstack([normals.T, b]),
+                                                (EQUAL,) * d + (LESS_EQUAL,), np.eye(d + 1)[d]))
             if out.status != lp_solver.OPTIMAL:
                 raise RuntimeError(f"{master} ended with status {out.status} (d={d}, "
                                    f"{offsets.size} cuts, last oracle-master gap {gap:.3e})")
             if out.duals is None:
                 raise RuntimeError(f"{master} returned no duals")
-            sign = -1.0 if circum else 1.0
-            lam, x = max(0.0, sign * out.value), sign * out.duals[:d] * scale
-        points = inner - x if circum else x + lam * inner
-        values, polar = evaluate.with_normals(points)
+            lam, x = max(0.0, -out.value), -out.duals[:d] * scale
+        values, polar = evaluate.with_normals(inner - x)
         _require_finite(values, f"{master}: the oracle's gauge LP")
-        # The oracle's bound from each point: x + gauge * C covers v_j for R,
-        # and (x, lambda) / gauge is feasible for r.
-        gaps = values - lam if circum else lam - lam / np.maximum(values, 1.0)
+        # The oracle's bound from each vertex: x + gauge * outer covers it.
+        gaps = values - lam
         gap = float(gaps.max())
         tol = 1e-9 * max(1.0, lam)
         if gap <= tol:
@@ -511,10 +507,10 @@ def interior_point(p: VPolytope) -> np.ndarray:
 
     A point certifies when its ``interior_slack`` is at least
     ``_interior_margin(p)``, as in ``GaugeBody.from_polytope``; the slack of
-    the cross-polytope's centre is its inradius r(P, conv{±e_k}).  If none
-    certifies, P is flat when P-P is (LowerDimensionalError), the rule of
-    ``diameter`` and ``min_width``, and else a numerical failure
-    (RuntimeError).  The engine gives r = 0 for flat bodies.
+    the cross-polytope's centre is its inradius r(P, conv{±e_k}), which is
+    1 / R(conv{±e_k}, P).  If none certifies, P is flat when P-P is
+    (LowerDimensionalError), the rule of ``diameter`` and ``min_width``, and
+    else a numerical failure (RuntimeError).  A flat P gives r = 0.
     """
     return _interior_gauge_at(p)[1]
 
@@ -580,10 +576,9 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     # half's evaluator when no axis is scaled.  a4 and 2R share C's frame, at
     # its centroid (a given origin may lie near C's boundary), which takes the
     # evaluator of C's gauge body when that is C recentred at its centroid.
-    a3 = _containment("circumradius", a, half.body,
-                      _frame(half.body, half._evaluate, origin=True)).value
+    a3 = _circumradius(a, half.body, _frame(half.body, half._evaluate, origin=True))[0]
     frame_c = _frame(c, gauge_c._evaluate)
-    a4 = _containment("circumradius", a, c, frame_c).value
+    a4 = _circumradius(a, c, frame_c)[0]
     a5 = float(gauge_c._evaluate(a.vertices).max())
 
     # Chord-ratio representation of the diameter (convex bodies).
@@ -598,7 +593,7 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     keep = np.isfinite(gamma_a) & (gamma_b < 1e12)
     chord_value = 2.0 * float(np.max(gamma_b[keep] / gamma_a[keep])) if keep.any() else 0.0
 
-    two_r = 2.0 * _containment("circumradius", k, c, frame_c).value
+    two_r = 2.0 * _circumradius(k, c, frame_c)[0]
     # C = -C exactly when the origin is interior and C holds -v for each vertex v.
     centered = bool(not shift.any() and _is_centered(gauge_c._evaluate))
 

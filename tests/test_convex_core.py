@@ -22,6 +22,7 @@ from polyradii.convex_core import (
 )
 from polyradii.functionals import support, support_values
 from polyradii.radii import interior_point
+from test_cross_validation import rotated_segments
 
 SQRT3 = math.sqrt(3.0)
 TRIANGLE = VPolytope([[2.0, 0.0], [-1.0, SQRT3], [-1.0, -SQRT3]])
@@ -365,6 +366,30 @@ def test_planar_support_values_match_the_dense_product():
         np.testing.assert_array_less(
             np.abs(core._support_sectors(body).mapped(shift, scales, a).values(queries) - dense),
             4 * EPS * scale + 1e-300)
+
+
+def test_planar_support_values_of_rotated_segments_are_the_vertex_maxima():
+    rng = np.random.default_rng(23)
+    for _, body, _ in rotated_segments():
+        queries = _sector_queries(rng, body.vertices, rng.normal(size=(4, 2)))
+        dense = np.max(queries @ body.vertices.T, axis=1)
+        scale = np.abs(body.vertices).max() * np.abs(queries).sum(axis=1)
+        np.testing.assert_array_less(np.abs(support_values(body, queries) - dense),
+                                     4 * EPS * scale + 1e-300)
+
+
+def test_sectors_rotate_at_the_descent_when_the_least_start_is_tied():
+    # The fan of a segment whose hull kept rounding-level turns: three
+    # zero-width sectors at -pi/2, one of them listed first.  Rotated at the
+    # least start, the starts would be unsorted and (-1, 0) would find
+    # sector 0.
+    rows = np.array([[1.0, 0.0], [-1.0, 0.0], [-0.5, 0.0], [0.0, 0.0], [0.5, 0.0]])
+    sectors = core._Sectors(np.array([-0.5, 0.5, -0.5, -0.5, -0.5]) * np.pi, rows)
+    points = np.vstack([np.random.default_rng(24).normal(size=(50, 2)), np.eye(2), -np.eye(2)])
+    values, index = sectors(points)
+    dense = points @ rows.T
+    np.testing.assert_array_equal(values, dense.max(axis=1))
+    np.testing.assert_array_equal(dense[np.arange(len(points)), index], values)
 
 
 def test_planar_gauge_normals_are_polar_vertices_that_attain_it():

@@ -354,3 +354,37 @@ def test_inradius_survives_tableau_drift(label):
     value = inradius(k, c).value
     assert value == pytest.approx(oracle_inradius(k, c), abs=1e-7)
     assert value == pytest.approx(expected, abs=1e-9)
+
+
+def rotated_segments(first=30, stop=190):
+    """Trials ``first`` to ``stop`` - 1 of a seeded sweep of planar pairs
+    (trial, K, C): K is 4 to 10 collinear normal points on a line through
+    the origin at a random angle, and C is 4 to 10 normal points."""
+    rng = np.random.default_rng(2024)
+    for trial in range(stop):
+        n, m = rng.integers(4, 11, size=2)
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        rotation = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        k = np.c_[rng.normal(size=(n, 1)), np.zeros(n)] @ rotation.T
+        c = rng.normal(size=(m, 2))
+        if trial >= first:
+            yield trial, VPolytope(k), VPolytope(c)
+
+
+def test_rotated_segments_match_scipy_oracles():
+    # Rounding leaves tiny turns in a rotated segment's support hull, so
+    # its zero-width sectors may tie at the least start angle, as on trials
+    # 36, 87, 148 and 187.  A sector search rotated into such a tie misses
+    # supports: R, r and the chain raise, and D is off by up to 0.39.
+    for trial, k, c in rotated_segments():
+        assert circumradius(k, c).value == pytest.approx(oracle_circumradius(k, c), abs=1e-9)
+        assert inradius(c, k).value == pytest.approx(oracle_inradius(c, k), abs=1e-9)
+        want_d = oracle_diameter(k, c)
+        assert diameter(k, c).value == pytest.approx(want_d, abs=1e-9)
+        report = verify_chain(k, c)
+        assert report.ok, (trial, report.flags)
+        diff_k = VPolytope(pairwise_differences(k.vertices))
+        half = VPolytope(0.5 * pairwise_differences(c.vertices))
+        assert report.a2 == pytest.approx(want_d, abs=1e-9)
+        assert report.a3 == pytest.approx(oracle_circumradius(diff_k, half), abs=1e-9)
+        assert report.a4 == pytest.approx(oracle_circumradius(diff_k, c), abs=1e-9)

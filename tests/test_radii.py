@@ -186,6 +186,31 @@ def test_inradius_unbounded_for_point_gauge():
         inradius(origin, origin)
 
 
+def test_inradius_is_the_reciprocal_circumradius_of_one_program(monkeypatch):
+    # C lies in y + R K exactly when -y/R + C/R lies in K, so r(K, C) is
+    # 1 / R(C, K) with centre -y/R, and both run the same LPs: one master
+    # form, max h'y with U'y = 0 and b'y <= 1, and no ">=" row.
+    rng = np.random.default_rng(222)
+    solve = lp_solver.solve
+    for dim in (2, 3, 4, 5):
+        for trial in range(6):
+            k = rng.normal(size=(int(rng.integers(dim + 2, 3 * dim + 3)), dim))
+            c = rng.normal(size=(int(rng.integers(dim + 2, 3 * dim + 3)), dim))
+            if trial % 2:
+                c = c - c.mean(axis=0) + rng.normal(scale=2.0, size=dim) * (trial % 3)
+            calls = {"r": [], "R": []}
+            for name, call, args in (("r", inradius, (k, c)), ("R", circumradius, (c, k))):
+                monkeypatch.setattr(lp_solver, "solve", lambda lp, **kw: calls[name].append(
+                    (lp.lhs.shape, lp.relations)) or solve(lp, **kw))
+                calls[name + "_result"] = call(*(VPolytope(v.copy()) for v in args))
+            monkeypatch.setattr(lp_solver, "solve", solve)
+            r, big_r = calls["r_result"], calls["R_result"]
+            assert r.value * big_r.value == pytest.approx(1.0, rel=1e-15)
+            np.testing.assert_array_equal(r.center, -big_r.center / big_r.value)
+            assert calls["r"] == calls["R"]
+            assert not any(lp_solver.GREATER_EQUAL in relations for _, relations in calls["r"])
+
+
 def test_facet_lps_reject_centres_their_duals_do_not_certify(monkeypatch):
     real_solve = lp_solver.solve
 

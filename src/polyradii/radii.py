@@ -7,8 +7,11 @@ lambda h_C(u) for every facet normal u of C, and containment of homothets
 is self-dual, so r(K, C) = 1 / R(C, K).  Kelley's cutting planes solve this
 support-function program on a master of d + 1 rows, and a batched gauge of
 C supplies the facets the master's solution violates.  In the plane every
-facet is known at the start, so one master solve suffices; a flat C is
-restricted to its affine hull first.  Gauges are read
+facet is known at the start, so one master solve suffices; elsewhere the
+master starts from the facet cones C's gauge evaluator already holds.  The
+engine keeps the best centre its gauge has bounded, and stops as soon as a
+master's lambda meets that bound; a flat C is restricted to its affine hull
+first.  Gauges are read
 off the facets in the plane and off the facet cones their LPs have met
 elsewhere; planar gauges and supports take one angular search per point,
 so no planar path forms a product of two vertex lists.  The planar
@@ -281,22 +284,43 @@ def _facet_generation(program: str, inner_body: VPolytope,
     their number, and the oracle evaluates the gauge of the outer body at
     v_j - x over the inner body's vertices.  The polar vertices attaining it
     at the violated points are the next cuts, so a cut costs no LP of its
-    own.  The loop stops when the oracle's bound is within 1e-9 max(1,
-    lambda) of the master's.  In the plane every facet is a cut from the
-    start, so the first oracle call ends the loop; off the plane the first
-    master has no cut.  The outer body is ``evaluate.body``; a planar inner
-    body may carry the support sectors of the body it was mapped from.
-    ``program`` names the quantity in error messages.
+    own.  The oracle's bound max_j gauge(v_j - x) is an upper bound on
+    lambda, the master's a lower one; the least oracle bound so far and its
+    centre are the incumbent.  The loop stops when the oracle's bound is
+    within 1e-9 max(1, lambda) of the master's, or, right after a master,
+    when the incumbent's is, and then returns the incumbent's centre with
+    no further oracle call.  In the plane every facet is a cut from the
+    start, so the first oracle call ends the loop.  Off the plane the cuts
+    start from every facet cone ``evaluate`` holds, its polar vertices y_f
+    scaled to unit length, and the first oracle is taken at the inner
+    body's centroid, before any master: for two centred bodies it attains
+    R, and the first master meets it.  The outer body is ``evaluate.body``;
+    a planar inner body may carry the support sectors of the body it was
+    mapped from.  ``program`` names the quantity in error messages.
     """
     d, outer_body, inner = evaluate.dim, evaluate.body, inner_body.vertices
-    normals, offsets = np.empty((0, d)), np.empty(0)
-    if evaluate.facets is not None:
+    planar = evaluate.facets is not None
+    if planar:
         normals, offsets = evaluate.facets.normals, evaluate.facets.offsets
+    else:
+        # The cached facet cones, each cut once: the bases of a facet that is
+        # not a simplex share its y_f up to rounding, and repeated columns
+        # cost the master digits.
+        normals = evaluate.normals / np.linalg.norm(evaluate.normals, axis=1)[:, None]
+        key = np.round(normals, 9)
+        order = np.lexsort(key.T)
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (key[order[1:]] != key[order[:-1]]).any(axis=1)
+        normals = normals[np.sort(order[first])]
+        offsets = support_values(outer_body, normals)
     supports = support_values(inner_body, normals)
     lam, x, gap = 0.0, np.zeros(d), np.inf
-    for _ in range(_MAX_CUT_ROUNDS):
+    upper, centre = np.inf, x  # the incumbent: the least oracle bound and its centre
+    for rounds in range(_MAX_CUT_ROUNDS):
         master = f"{program} facet LP ({d + 1} x {offsets.size})"
-        if offsets.size:
+        # Off the plane the first oracle is taken at the inner centroid.
+        mastered = planar or rounds > 0
+        if mastered:
             # Dual form of the primal: max h'y with U'y = 0, b'y <= 1, y >= 0.
             # The duals of the U'y = 0 rows are minus the centre.  b and h
             # are divided by their common max-abs scale, which keeps lambda
@@ -311,11 +335,15 @@ def _facet_generation(program: str, inner_body: VPolytope,
             if out.duals is None:
                 raise RuntimeError(f"{master} returned no duals")
             lam, x = max(0.0, -out.value), -out.duals[:d] * scale
+            if upper - lam <= 1e-9 * max(1.0, lam):
+                return lam, centre
         values, polar = evaluate.with_normals(inner - x)
         _require_finite(values, f"{master}: the oracle's gauge LP")
         # The oracle's bound from each vertex: x + gauge * outer covers it.
         gaps = values - lam
         gap = float(gaps.max())
+        if values.max() < upper:
+            upper, centre = float(values.max()), x
         tol = 1e-9 * max(1.0, lam)
         if gap <= tol:
             return lam, x
@@ -324,7 +352,7 @@ def _facet_generation(program: str, inner_body: VPolytope,
             u = u / np.linalg.norm(u)
             if not normals.size or np.abs(normals - u).max(axis=1).min() > 1e-9:
                 normals = np.vstack([normals, u])
-        if normals.shape[0] == known:
+        if normals.shape[0] == known and mastered:
             # Only cuts the master holds are violated, which its tolerance
             # allows up to 1e-7.
             if gap <= 1e-7 * max(1.0, lam):

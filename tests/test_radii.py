@@ -240,6 +240,67 @@ def test_containment_failures_name_program_size_and_gap(monkeypatch):
         inradius(SQUARE, TRIANGLE)
 
 
+def _engine_work(monkeypatch):
+    """The master LPs and the oracle waves of each facet generation from here
+    on, in order.  Masters are the programs with a "<=" row; the oracle is
+    the outer evaluator, a fork that only the engine evaluates."""
+    work, masters = [], []
+    solve, generate = lp_solver.solve, radii._facet_generation
+    monkeypatch.setattr(lp_solver, "solve", lambda lp, **kw: (
+        lp_solver.LESS_EQUAL in lp.relations and masters.append(lp)) or solve(lp, **kw))
+
+    def recorded(program, inner_body, evaluate):
+        before = len(masters)
+        out = generate(program, inner_body, evaluate)
+        work.append((len(masters) - before, evaluate.waves))
+        return out
+
+    monkeypatch.setattr(radii, "_facet_generation", recorded)
+    return work
+
+
+def test_centred_spatial_pair_stops_at_its_first_master(monkeypatch):
+    # K = -K and C = -C, so the origin is an optimal centre: the oracle at K's
+    # centroid attains R, and the first master, seeded with the facet cones
+    # of C's certificate, meets that bound.  The incumbent ends the loop
+    # with no second oracle wave.
+    rotation = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))[0]
+    cross = VPolytope(np.vstack([np.eye(4), -np.eye(4)]))
+    cube = make_body(BodySpec("cube", dim=4)).vertices
+    work = _engine_work(monkeypatch)
+    res = circumradius(cross, VPolytope(cube @ rotation.T))
+    assert work == [(1, 1)]  # one master, one oracle wave
+    # The gauge of the rotated cube Q [-h, h]^4 at e_k is max_i |Q_ki| / h.
+    assert res.value == pytest.approx(np.abs(rotation).max() / np.abs(cube).max(), rel=1e-12)
+    np.testing.assert_allclose(res.center, np.zeros(4), atol=1e-12)
+
+
+@pytest.mark.parametrize("placement", ["raw", "centred", "shifted", "mirrored"])
+def test_containment_centres_are_certified_by_one_gauge_lp_per_vertex(placement):
+    # The engine returns the best centre its oracle has seen once a master
+    # meets that bound: K must lie in x + R C up to the stopping rule, which
+    # one gauge LP per vertex of K checks.  The LP is the least t with
+    # v - x in t C, so it checks containment wherever C's origin lies.
+    # Mirrored pairs, K = -K and C = -C, stop at their first master, whose
+    # own centre need not be optimal.
+    rng = np.random.default_rng(23)
+    for trial in range(14):
+        dim = 3 + trial % 3
+        k = rng.normal(size=(int(rng.integers(dim + 2, 3 * dim + 3)), dim))
+        c = rng.normal(size=(int(rng.integers(dim + 2, 3 * dim + 3)), dim))
+        if placement != "raw":
+            c = c - c.mean(axis=0)
+        if placement == "shifted":
+            c = c + rng.normal(scale=0.3, size=dim)
+        if placement == "mirrored":
+            k, c = np.vstack([k, -k]), np.vstack([c, -c])
+        for inner, outer in ((k, c), (c, k)):  # R(C, K) is the program of r(K, C)
+            res = circumradius(VPolytope(inner), VPolytope(outer))
+            reference = convex_core._GaugeLP(outer)
+            bound = max(reference(v - res.center)[0] for v in inner)
+            assert bound <= res.value + 1e-9 * max(1.0, res.value), (trial, bound, res.value)
+
+
 def test_flat_gauges_restrict_to_their_affine_hull():
     # A segment gauge in space: R of a parallel segment is the length ratio,
     # a body leaving the gauge's line has no finite R, and r of a flat body
@@ -1073,6 +1134,30 @@ SPATIAL_C = VPolytope([
     [1.80694, 0.188025, -1.486998], [-1.843451, -0.915452, 0.44039],
     [-2.019236, -0.418351, -0.31845], [1.081691, 0.429318, 0.710745],
 ])
+
+# The 4-D pair of the same workload, drawn after the 3-D one.
+SPATIAL_K4 = VPolytope([
+    [-1.307657, -0.259227, 1.567951, 2.986862], [-2.518131, 3.027848, 2.691751, 1.562623],
+    [0.528911, -0.627846, 2.916041, 3.920517], [3.60327, 2.630208, 0.714761, -2.416637],
+    [-0.008908, 1.31295, -2.576723, 0.790244], [0.859727, 1.392085, -2.368236, -1.323405],
+])
+SPATIAL_C4 = VPolytope([
+    [-0.87287, -2.339604, 3.478736, -0.991821], [0.657939, -0.517145, 3.166946, 2.640722],
+    [1.266705, -4.40702, 0.104058, 1.367372], [2.007923, -1.235814, 3.644023, -2.640862],
+    [-1.323056, 1.8701, 0.098109, 4.004785], [0.377038, -1.266388, -0.755127, -2.182292],
+])
+
+
+@pytest.mark.parametrize("k, c", [(SPATIAL_K, SPATIAL_C), (SPATIAL_K4, SPATIAL_C4)])
+def test_chain_a3_takes_one_master(monkeypatch, k, c):
+    # a3 = R(K-K, (C-C)/2) pairs two centred bodies: the oracle at the
+    # origin attains it, and the master seeded with the cones of (C-C)/2's
+    # certificate meets that bound at once.
+    work = _engine_work(monkeypatch)
+    report = verify_chain(VPolytope(k.vertices.copy()), VPolytope(c.vertices.copy()))
+    assert report.ok
+    assert work[0][0] == 1  # a3 is the chain's first containment program
+    assert report.a3 == pytest.approx(report.a2, rel=1e-12)
 
 
 def test_spatial_chain_reads_gauges_from_cached_facets(monkeypatch):

@@ -198,6 +198,12 @@ def difference_body(p: VPolytope) -> VPolytope:
     return minkowski_sum(p, transform(p, 1.0, zero, reflect=True))
 
 
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """``np.unique(rows, axis=0)`` without its import of ``numpy.ma``."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+
+
 # ---------------------------------------------------------------------------
 # 2D hull and facets
 
@@ -227,7 +233,7 @@ def hull_2d(points) -> VPolytope:
     hull = _hull_as_given(pts, turn_tol)
     if hull is not None:
         return VPolytope(hull)
-    pts = np.unique(pts, axis=0)  # dedupes and sorts lexicographically
+    pts = _unique_rows(pts)
     if pts.shape[0] <= 2:
         return VPolytope(pts)
     return VPolytope(np.array(_monotone_chain(pts.tolist(), turn_tol)))
@@ -327,7 +333,7 @@ def difference_hull(p: VPolytope) -> VPolytope:
         return p._prepared("difference hull", lambda: minkowski_hull_2d(
             p, transform(p, 1.0, np.zeros(2), reflect=True)))
     return p._prepared("difference hull",
-                       lambda: VPolytope(np.unique(difference_body(p).vertices, axis=0)))
+                       lambda: VPolytope(_unique_rows(difference_body(p).vertices)))
 
 
 def _ccw_hull(p: VPolytope) -> np.ndarray:
@@ -428,7 +434,7 @@ def _support_sectors(p: VPolytope) -> _Sectors:
     def build():
         hull = _hull_as_given(p.vertices, 0.0)
         if hull is None:
-            hull = np.unique(p.vertices, axis=0)
+            hull = _unique_rows(p.vertices)
             if hull.shape[0] > 2:
                 hull = np.array(_monotone_chain(hull.tolist(), 0.0))
         into = hull - np.concatenate((hull[-1:], hull[:-1]))  # the edge into each vertex

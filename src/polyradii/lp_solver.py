@@ -1,11 +1,12 @@
-"""Dense two-phase simplex solver for small containment and gauge programs.
+"""Dense two-phase simplex solver for small gauge and membership programs.
 
-Every optimisation in this package reduces to a linear program over
-non-negative variables with d or d + 1 rows, so the tableau is kept dense
-and pivoting favours robustness over speed.  Entering columns follow
-Dantzig's rule until pivots stall, then switch permanently to Bland's rule,
-which rules out cycling.  Pivot and feasibility thresholds are the fixed
-``PIVOT_TOL`` and ``FEASIBILITY_TOL``; callers scale their rows to suit them.
+The public LP solver, and the one of the gauge LPs and ``member``; the
+containment masters of ``radii`` run their own revised simplex.  Programs
+have d or d + 1 rows, so the tableau is kept dense and pivoting favours
+robustness over speed.  Entering columns follow Dantzig's rule until pivots
+stall, then switch permanently to Bland's rule, which rules out cycling.
+Pivot and feasibility thresholds are the fixed ``PIVOT_TOL`` and
+``FEASIBILITY_TOL``; callers scale their rows to suit them.
 """
 
 from __future__ import annotations

@@ -5,18 +5,18 @@ programming.  Circumradius and inradius share one program in every
 dimension: K lies in x + lambda*C exactly when h_K(u) <= <u, x> +
 lambda h_C(u) for every facet normal u of C, and containment of homothets
 is self-dual, so r(K, C) = 1 / R(C, K).  Kelley's cutting planes solve this
-support-function program on a master of d + 1 rows, and a batched gauge of
-C supplies the facets the master's solution violates.  In the plane every
-facet is known at the start, so one master solve suffices; elsewhere the
-master starts from the facet cones C's gauge evaluator already holds.  The
-engine keeps the best centre its gauge has bounded, and stops as soon as a
-master's lambda meets that bound; a flat C is restricted to its affine hull
-first.  Gauges are read
-off the facets in the plane and off the facet cones their LPs have met
-elsewhere; planar gauges and supports take one angular search per point,
-so no planar path forms a product of two vertex lists.  The planar
-diameter swaps the maximum over vertex pairs for one over the gauge's
-polar vertices p_f = n_f / b_f:
+support-function program on a warm-started simplex master of d + 1 rows,
+and a batched gauge of C supplies the facets its solution violates.  In
+the plane every facet is a cut at the start, so one master suffices, with
+no gauge; elsewhere the master starts from the facet cones C's gauge
+evaluator already holds.  The engine keeps the best centre its gauge has
+bounded, and stops as soon as a master's lambda meets that bound; a flat C
+is restricted to its affine hull first.  Gauges are read off the facets in
+the plane and off the facet cones their LPs have met elsewhere; planar
+gauges and supports take one angular search per point, so no planar path
+forms a product of two vertex lists.  The planar diameter swaps the
+maximum over vertex pairs for one over the gauge's polar vertices
+p_f = n_f / b_f:
 sup_{i,j} gauge(v_j - v_i) = max_f (h_K(p_f) + h_K(-p_f)); off the plane
 its pairs are one batched gauge, and the chain's pair-gauge member is one
 gauge of C at the vertices of K-K.
@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lp_solver
 from .convex_core import (
     DimensionMismatchError,
     LowerDimensionalError,
@@ -61,12 +60,13 @@ from .functionals import (
     gauge,
     support_values,
 )
-from .lp_solver import EQUAL, LESS_EQUAL, LinearProgram
 
 _CENTERED_TOL = 1e-9
 
 # Cut rounds after which the containment engine reports no convergence.
 _MAX_CUT_ROUNDS = 100
+
+_STALL_PIVOTS = 40  # pivots with no gain before the master takes Bland's rule
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,65 +280,56 @@ def _facet_generation(program: str, inner_body: VPolytope,
     The outer body is full-dimensional with the origin interior.  Every
     direction u gives a valid cut of min lambda subject to
     <u, x> + b lambda >= h, with b = h_outer(u) and h = h_inner(u).  Each
-    master solves the dual program on the cuts so far, d + 1 rows whatever
-    their number, and the oracle evaluates the gauge of the outer body at
-    v_j - x over the inner body's vertices.  The polar vertices attaining it
-    at the violated points are the next cuts, so a cut costs no LP of its
-    own.  The oracle's bound max_j gauge(v_j - x) is an upper bound on
-    lambda, the master's a lower one; the least oracle bound so far and its
-    centre are the incumbent.  The loop stops when the oracle's bound is
+    master is ``_simplex`` on the dual of the cuts so far, d + 1 rows, from
+    the last master's basis, or first from the start cuts e_1..e_d and
+    -1/sqrt(d).  The oracle is the outer body's gauge at v_j - x over the
+    inner body's vertices, and the polar vertices attaining it at violated
+    points are the next cuts.  Its bound max_j gauge(v_j - x) is an upper
+    bound on lambda, the master's a lower one, and the least so far with its
+    centre is the incumbent.  The loop stops when the oracle's bound is
     within 1e-9 max(1, lambda) of the master's, or, right after a master,
-    when the incumbent's is, and then returns the incumbent's centre with
-    no further oracle call.  In the plane every facet is a cut from the
-    start, so the first oracle call ends the loop.  Off the plane the cuts
-    start from every facet cone ``evaluate`` holds, its polar vertices y_f
-    scaled to unit length, and the first oracle is taken at the inner
-    body's centroid, before any master: for two centred bodies it attains
-    R, and the first master meets it.  The outer body is ``evaluate.body``;
-    a planar inner body may carry the support sectors of the body it was
-    mapped from.  ``program`` names the quantity in error messages.
+    when the incumbent's is, returning the incumbent's centre.  In the plane
+    every facet is a cut, so the cuts' bound max_f (h_f - <u_f, x>) / b_f
+    is the oracle's and the first master ends the loop with no gauge.  Off
+    the plane the cuts also start from every facet cone ``evaluate`` holds,
+    its polar vertices y_f scaled to unit length, and the first oracle is
+    taken at the inner centroid, before any master: for two centred bodies
+    it attains R, and the first master meets it.  The outer body is
+    ``evaluate.body``; a planar inner body may carry the support sectors of
+    the body it was mapped from.  ``program`` names the quantity in errors.
     """
     d, outer_body, inner = evaluate.dim, evaluate.body, inner_body.vertices
     planar = evaluate.facets is not None
+    start = np.vstack([np.eye(d), np.full((1, d), -d ** -0.5)])
     if planar:
-        normals, offsets = evaluate.facets.normals, evaluate.facets.offsets
+        normals = np.vstack([start, evaluate.facets.normals])
+        offsets = np.concatenate([support_values(outer_body, start), evaluate.facets.offsets])
     else:
-        # The cached facet cones, each cut once: the bases of a facet that is
-        # not a simplex share its y_f up to rounding, and repeated columns
-        # cost the master digits.
-        normals = evaluate.normals / np.linalg.norm(evaluate.normals, axis=1)[:, None]
-        key = np.round(normals, 9)
-        order = np.lexsort(key.T)
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = (key[order[1:]] != key[order[:-1]]).any(axis=1)
-        normals = normals[np.sort(order[first])]
+        normals = np.vstack([start, evaluate.normals / np.linalg.norm(evaluate.normals,
+                                                                      axis=1)[:, None]])
         offsets = support_values(outer_body, normals)
     supports = support_values(inner_body, normals)
-    lam, x, gap = 0.0, np.zeros(d), np.inf
+    lam, x, gap, basis = 0.0, np.zeros(d), np.inf, np.arange(d + 1)
     upper, centre = np.inf, x  # the incumbent: the least oracle bound and its centre
     for rounds in range(_MAX_CUT_ROUNDS):
         master = f"{program} facet LP ({d + 1} x {offsets.size})"
         # Off the plane the first oracle is taken at the inner centroid.
         mastered = planar or rounds > 0
         if mastered:
-            # Dual form of the primal: max h'y with U'y = 0, b'y <= 1, y >= 0.
-            # The duals of the U'y = 0 rows are minus the centre.  b and h
-            # are divided by their common max-abs scale, which keeps lambda
-            # and scales the centre back, so the LP tolerances hold at any size.
-            scale = float(max(np.abs(offsets).max(), np.abs(supports).max())) or 1.0
-            b, h = offsets / scale, supports / scale
-            out = lp_solver.solve(LinearProgram(-h, np.vstack([normals.T, b]),
-                                                (EQUAL,) * d + (LESS_EQUAL,), np.eye(d + 1)[d]))
-            if out.status != lp_solver.OPTIMAL:
-                raise RuntimeError(f"{master} ended with status {out.status} (d={d}, "
+            prices = _simplex(normals / offsets[:, None], supports / offsets, basis)
+            if prices is None:
+                raise RuntimeError(f"{master} ended with status numerical-failure (d={d}, "
                                    f"{offsets.size} cuts, last oracle-master gap {gap:.3e})")
-            if out.duals is None:
+            if not np.isfinite(prices).all():
                 raise RuntimeError(f"{master} returned no duals")
-            lam, x = max(0.0, -out.value), -out.duals[:d] * scale
+            lam, x = max(0.0, float(prices[d])), prices[:d]
             if upper - lam <= 1e-9 * max(1.0, lam):
                 return lam, centre
-        values, polar = evaluate.with_normals(inner - x)
-        _require_finite(values, f"{master}: the oracle's gauge LP")
+        if planar:  # one product against every cut
+            values, polar = (supports - normals @ x) / offsets, normals
+        else:
+            values, polar = evaluate.with_normals(inner - x)
+            _require_finite(values, f"{master}: the oracle's gauge LP")
         # The oracle's bound from each vertex: x + gauge * outer covers it.
         gaps = values - lam
         gap = float(gaps.max())
@@ -350,11 +341,11 @@ def _facet_generation(program: str, inner_body: VPolytope,
         known = normals.shape[0]
         for u in polar[gaps > tol]:
             u = u / np.linalg.norm(u)
-            if not normals.size or np.abs(normals - u).max(axis=1).min() > 1e-9:
+            if np.abs(normals - u).max(axis=1).min() > 1e-9:
                 normals = np.vstack([normals, u])
         if normals.shape[0] == known and mastered:
-            # Only cuts the master holds are violated, which its tolerance
-            # allows up to 1e-7.
+            # Only cuts the master holds are violated, which the simplex's
+            # tolerances allow up to 1e-7.
             if gap <= 1e-7 * max(1.0, lam):
                 return lam, x
             raise RuntimeError(f"{master}: the centre from its duals violates a "
@@ -365,6 +356,38 @@ def _facet_generation(program: str, inner_body: VPolytope,
     raise RuntimeError(f"{program} facet generation did not converge in "
                        f"{_MAX_CUT_ROUNDS} rounds (d={d}, {offsets.size} cuts, "
                        f"last oracle-master gap {gap:.3e})")
+
+
+def _simplex(points: np.ndarray, gains: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
+    """Revised primal simplex (Dantzig 1954): max gains.z subject to
+    sum_f z_f (p_f, 1) = e_{d+1}, z >= 0, from the feasible ``basis`` of
+    d + 1 cuts, left optimal.  A pivot inverts the basis and prices every
+    cut in one product, by Dantzig's rule (largest pivot among ratio ties)
+    until the objective stalls, then Bland's (least indices).  Returns the
+    prices (x, lambda), lambda >= g_f - <p_f, x> on every cut, or None."""
+    columns = np.hstack([points, np.ones((gains.size, 1))])
+    bland, stall, last = False, 0, -np.inf
+    for _ in range(20 * gains.size + 200):
+        try:
+            inverse = np.linalg.inv(columns[basis].T)
+        except np.linalg.LinAlgError:
+            return None
+        prices = gains[basis] @ inverse
+        reduced = gains - columns @ prices
+        reduced[basis] = 0.0
+        eligible = reduced > 1e-12 * max(1.0, abs(prices[-1]))
+        enter = int(np.argmax(eligible if bland else reduced))
+        if not eligible[enter]:
+            return prices
+        # ``step`` sums to 1, so some entry is positive: the weights stay bounded.
+        step = inverse @ columns[enter]
+        rows = np.flatnonzero(step > 1e-9)
+        ratios = np.maximum(inverse[rows, -1], 0.0) / step[rows]
+        ties = rows[ratios <= ratios.min() + 1e-12]
+        basis[ties[np.argmin(basis[ties])] if bland else ties[np.argmax(step[ties])]] = enter
+        stall = 0 if prices[-1] > last + 1e-13 else stall + 1
+        bland, last = bland or stall > _STALL_PIVOTS, prices[-1]
+    return None
 
 
 # ---------------------------------------------------------------------------

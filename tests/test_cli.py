@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polyradii
 from polyradii.bodies import BodySpec, make_body
 from polyradii.cli import run
 from polyradii.convex_core import loads_vpolytope
@@ -246,7 +251,8 @@ def test_numerical_failures_exit_three(capsys, body_files, monkeypatch, tmp_path
         code, out, err = run_cli(capsys, "radii", "--body", str(tmp_path / "cube.json"),
                                  "--gauge", str(tmp_path / "box.json"), "--quantity", "R")
         assert code == 3 and out == ""
-        assert (f"numerical failure: circumradius facet LP ({dim + 1} x 0): the oracle's "
+        # The master's d + 1 start cuts are its only cuts at the first oracle.
+        assert (f"numerical failure: circumradius facet LP ({dim + 1} x {dim + 1}): the oracle's "
                 f"gauge LP is infeasible at {2 ** dim} of {2 ** dim} points") in err
         # The box has full rank, so the diameter's (C-C)/2 is not flat input:
         # its failed interior certificate is a numerical failure.
@@ -281,3 +287,16 @@ def test_out_of_memory_exits_three(capsys, body_files, monkeypatch):
         code, out, err = run_cli(capsys, "verify", "--body", body_files["square"],
                                  "--gauge", body_files["triangle"])
         assert (code, out, err) == (3, "", message)
+
+
+def test_radii_does_not_import_numpy_ma(body_files):
+    # np.unique(..., axis=0) imports numpy.ma, about 10 ms of every process;
+    # the hull and difference-body dedupes are one lexsort instead.
+    script = ("import sys; from polyradii.cli import run; "
+              "code = run(sys.argv[1:]); print('numpy.ma' in sys.modules); sys.exit(code)")
+    package_parent = str(Path(polyradii.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script, "radii", "--body", body_files["square"],
+                           "--gauge", body_files["triangle"]], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=package_parent), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

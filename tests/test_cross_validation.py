@@ -15,7 +15,8 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from polyradii import lp_solver
+from polyradii import lp_solver, radii
+from polyradii.bodies import BodySpec, make_body
 from polyradii.convex_core import VPolytope, _interior_margin, interior_slack
 from polyradii.functionals import GaugeBody, gauge
 from polyradii.radii import circumradius, diameter, inradius, min_width, verify_chain
@@ -388,3 +389,63 @@ def test_rotated_segments_match_scipy_oracles():
         assert report.a2 == pytest.approx(want_d, abs=1e-9)
         assert report.a3 == pytest.approx(oracle_circumradius(diff_k, half), abs=1e-9)
         assert report.a4 == pytest.approx(oracle_circumradius(diff_k, c), abs=1e-9)
+
+
+def engine_masters(monkeypatch, *calls):
+    """Copies of the (points, gains, start basis) of every master the
+    containment engine solves while running ``calls``."""
+    masters, simplex = [], radii._simplex
+    monkeypatch.setattr(radii, "_simplex", lambda points, gains, basis: masters.append(
+        (points.copy(), gains.copy(), basis.copy())) or simplex(points, gains, basis))
+    for call in calls:
+        call()
+    monkeypatch.undo()
+    return masters
+
+
+def random_masters():
+    """Masters of random cut sets in 2-D to 6-D: the start cuts and up to
+    40 d random unit normals, a centred C and a K off the origin."""
+    rng = np.random.default_rng(7)
+    for d in range(2, 7):
+        for _ in range(12):
+            u = rng.normal(size=(int(rng.integers(d + 1, 40 * d)), d))
+            u = np.vstack([np.eye(d), np.full((1, d), -d ** -0.5),
+                           u / np.linalg.norm(u, axis=1)[:, None]])
+            c = rng.normal(size=(3 * d, d))
+            k = rng.normal(size=(2 * d, d)) + rng.normal(size=d)
+            offsets = support_at(c - c.mean(axis=0), u)
+            yield u / offsets[:, None], support_at(k, u) / offsets, np.arange(d + 1)
+
+
+@pytest.mark.parametrize("stall", [None, 0])
+def test_master_simplex_matches_highs(monkeypatch, stall):
+    # The engine's simplex solves max g'z with sum z_f (p_f, 1) = e_{d+1},
+    # z >= 0, from the start basis of the d + 1 start cuts.  Its radius must
+    # be HiGHS's optimum, its final basis's weights a feasible point, and its
+    # centre must satisfy every cut.  ``stall`` 0 takes Bland's rule after
+    # the first pivot; the 6-D chain's a3 master is degenerate, with C centred.
+    square, triangle = make_body(BodySpec("centered_square")), make_body(
+        BodySpec("equilateral_triangle"))
+    calls = [lambda: circumradius(square, triangle), lambda: inradius(square, triangle)]
+    for n in (24, 48, 96, 192, 384):
+        c = make_body(BodySpec("reuleaux_triangle", n=n))
+        k = VPolytope(-c.vertices)
+        calls += [lambda k=k, c=c: circumradius(k, c), lambda k=k, c=c: inradius(k, c)]
+    rng = np.random.default_rng(3)
+    k, c = rng.normal(size=(30, 6)), rng.normal(size=(30, 6))
+    calls.append(lambda: verify_chain(VPolytope(k), VPolytope(c - c.mean(axis=0))))
+    masters = engine_masters(monkeypatch, *calls)
+    assert len(masters) == 2 + 10 + 4 and masters[12][0].shape[1] == 6
+    if stall is not None:
+        monkeypatch.setattr(radii, "_STALL_PIVOTS", stall)
+    for points, gains, basis in [*masters, *random_masters()]:
+        prices = radii._simplex(points, gains, basis)
+        columns = np.c_[points, np.ones(gains.size)]
+        target = np.eye(columns.shape[1])[-1]
+        res = linprog(-gains, A_eq=columns.T, b_eq=target, bounds=(0, None), method="highs")
+        assert res.status == 0
+        assert prices[-1] == pytest.approx(-res.fun, rel=1e-12, abs=1e-12)
+        # Rounding leaves a degenerate basis's zero weights within 1e-15.
+        assert np.linalg.solve(columns[basis].T, target).min() >= -1e-12
+        assert (gains - points @ prices[:-1]).max() <= prices[-1] + 1e-12 * max(1.0, prices[-1])

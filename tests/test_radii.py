@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -188,10 +187,11 @@ def test_inradius_unbounded_for_point_gauge():
 
 def test_inradius_is_the_reciprocal_circumradius_of_one_program(monkeypatch):
     # C lies in y + R K exactly when -y/R + C/R lies in K, so r(K, C) is
-    # 1 / R(C, K) with centre -y/R, and both run the same LPs: one master
-    # form, max h'y with U'y = 0 and b'y <= 1, and no ">=" row.
+    # 1 / R(C, K) with centre -y/R, and both run the same programs: the same
+    # masters, each the simplex on max g'z with sum z_f (p_f, 1) = e_{d+1},
+    # and the same gauge LPs, none with a ">=" row.
     rng = np.random.default_rng(222)
-    solve = lp_solver.solve
+    solve, simplex = lp_solver.solve, radii._simplex
     for dim in (2, 3, 4, 5):
         for trial in range(6):
             k = rng.normal(size=(int(rng.integers(dim + 2, 3 * dim + 3)), dim))
@@ -202,29 +202,31 @@ def test_inradius_is_the_reciprocal_circumradius_of_one_program(monkeypatch):
             for name, call, args in (("r", inradius, (k, c)), ("R", circumradius, (c, k))):
                 monkeypatch.setattr(lp_solver, "solve", lambda lp, **kw: calls[name].append(
                     (lp.lhs.shape, lp.relations)) or solve(lp, **kw))
+                monkeypatch.setattr(radii, "_simplex", lambda points, gains, basis: calls[
+                    name].append(("master", points.shape)) or simplex(points, gains, basis))
                 calls[name + "_result"] = call(*(VPolytope(v.copy()) for v in args))
-            monkeypatch.setattr(lp_solver, "solve", solve)
+            monkeypatch.undo()
             r, big_r = calls["r_result"], calls["R_result"]
             assert r.value * big_r.value == pytest.approx(1.0, rel=1e-15)
             np.testing.assert_array_equal(r.center, -big_r.center / big_r.value)
             assert calls["r"] == calls["R"]
-            assert not any(lp_solver.GREATER_EQUAL in relations for _, relations in calls["r"])
+            assert any(call[0] == "master" for call in calls["r"])
+            assert not any(lp_solver.GREATER_EQUAL in call[1] for call in calls["r"]
+                           if call[0] != "master")
 
 
 def test_facet_lps_reject_centres_their_duals_do_not_certify(monkeypatch):
-    real_solve = lp_solver.solve
+    real_simplex = radii._simplex
 
-    def solve_with(duals):
-        def solve(lp, **kwargs):
-            out = real_solve(lp, **kwargs)
-            return dataclasses.replace(out, duals=duals(out))
-        return solve
+    def simplex_with(prices):
+        return lambda points, gains, basis: prices(real_simplex(points, gains, basis))
 
-    monkeypatch.setattr(lp_solver, "solve", solve_with(lambda out: out.duals + [5.0, 5.0, 0.0]))
-    with pytest.raises(RuntimeError, match=r"circumradius facet LP \(3 x 3\).*violates"):
+    # The master's cuts are its d + 1 start cuts and the gauge body's facets.
+    monkeypatch.setattr(radii, "_simplex", simplex_with(lambda out: out + [5.0, 5.0, 0.0]))
+    with pytest.raises(RuntimeError, match=r"circumradius facet LP \(3 x 6\).*violates"):
         circumradius(SQUARE, TRIANGLE)
-    monkeypatch.setattr(lp_solver, "solve", solve_with(lambda out: None))
-    with pytest.raises(RuntimeError, match=r"inradius facet LP \(3 x 4\) returned no duals"):
+    monkeypatch.setattr(radii, "_simplex", simplex_with(lambda out: out * np.nan))
+    with pytest.raises(RuntimeError, match=r"inradius facet LP \(3 x 7\) returned no duals"):
         inradius(SQUARE, TRIANGLE)
 
 
@@ -233,21 +235,19 @@ def test_containment_failures_name_program_size_and_gap(monkeypatch):
     with pytest.raises(RuntimeError, match=r"circumradius facet generation did not converge "
                        r"in 1 rounds \(d=3, \d+ cuts, last oracle-master gap \d"):
         circumradius(make_body(BodySpec("simplex", dim=3)), make_body(BodySpec("cube", dim=3)))
-    monkeypatch.setattr(lp_solver, "solve",
-                        lambda lp, **kwargs: lp_solver.LpOutcome(lp_solver.NUMERICAL_FAILURE))
-    with pytest.raises(RuntimeError, match=r"inradius facet LP \(3 x 4\) ended with status "
-                       r"numerical-failure \(d=2, 4 cuts, last oracle-master gap inf\)"):
+    monkeypatch.setattr(radii, "_simplex", lambda points, gains, basis: None)
+    with pytest.raises(RuntimeError, match=r"inradius facet LP \(3 x 7\) ended with status "
+                       r"numerical-failure \(d=2, 7 cuts, last oracle-master gap inf\)"):
         inradius(SQUARE, TRIANGLE)
 
 
 def _engine_work(monkeypatch):
-    """The master LPs and the oracle waves of each facet generation from here
-    on, in order.  Masters are the programs with a "<=" row; the oracle is
-    the outer evaluator, a fork that only the engine evaluates."""
+    """The masters and the oracle waves of each facet generation from here
+    on, in order.  Masters are the calls of the engine's simplex; the oracle
+    is the outer evaluator, a fork that only the engine evaluates."""
     work, masters = [], []
-    solve, generate = lp_solver.solve, radii._facet_generation
-    monkeypatch.setattr(lp_solver, "solve", lambda lp, **kw: (
-        lp_solver.LESS_EQUAL in lp.relations and masters.append(lp)) or solve(lp, **kw))
+    simplex, generate = radii._simplex, radii._facet_generation
+    monkeypatch.setattr(radii, "_simplex", lambda *args: masters.append(1) or simplex(*args))
 
     def recorded(program, inner_body, evaluate):
         before = len(masters)

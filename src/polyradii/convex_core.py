@@ -3,9 +3,12 @@
 Bodies are stored by their vertices (V-representation).  Vertex lists may
 contain redundant points: every functional downstream reads through a max or
 an LP, so redundancy is harmless and is only ever pruned by the 2D hull.
-That hull passes a polygon that is already its own hull through in one
-linear, vectorised check, and runs Andrew's monotone chain on anything
-else.  Halfspace representations exist solely in the plane, where facet
+That hull keeps every point where the computed turn is positive, with no
+turn tolerance: it passes a polygon that is already its own hull through
+in one linear, vectorised check, and runs Andrew's monotone chain on
+anything else.  A planar body prepares that one hull (``_ccw_hull``), and
+its facets, polar vertices, sectors and difference hull all read it.
+Halfspace representations exist solely in the plane, where facet
 enumeration is exact and cheap.  Gauges are evaluated here as well, by a
 batched ``_GaugeEvaluator`` on what its body prepares once (``VPolytope``):
 a planar body's polar vertices when the origin is interior, read from the
@@ -211,13 +214,15 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
 def hull_2d(points) -> VPolytope:
     """Counter-clockwise extreme points, starting at the lexicographic minimum.
 
-    Collinear interior points are dropped (strictly convex turns only), which
-    makes the output canonical for golden comparisons.  Most planar inputs
-    are already such a hull (a body hulled before, the operands and merge
-    walk of a Minkowski sum), so one vectorised pass over the rows as given
-    comes first: when they are their own hull (``_hull_as_given``) they are
-    returned in linear time.  Any other input is sorted and hulled by the
-    monotone chain.  The output is the chain's in both cases, bit for bit.
+    A point is kept only where the computed turn into the next is positive
+    (Andrew 1979), with no tolerance: collinear interior points are dropped,
+    which makes the output canonical for golden comparisons, and a vertex
+    however slight its turn is kept.  Most planar inputs are already such a
+    hull (a body hulled before, the operands and merge walk of a Minkowski
+    sum), so one vectorised pass over the rows as given comes first: when
+    they are their own hull (``_hull_as_given``) they are returned in linear
+    time.  Any other input is sorted and hulled by the monotone chain.  The
+    output is the chain's in both cases, bit for bit.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < 1:
@@ -226,20 +231,16 @@ def hull_2d(points) -> VPolytope:
         raise DimensionMismatchError("hull_2d expects planar points")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    # Relative to the points' extent, so the hull does not depend on where
-    # the points sit or on their unit of length.
-    extent = float(np.ptp(pts, axis=0).max())
-    turn_tol = 1e-12 * extent * extent
-    hull = _hull_as_given(pts, turn_tol)
+    hull = _hull_as_given(pts)
     if hull is not None:
         return VPolytope(hull)
     pts = _unique_rows(pts)
     if pts.shape[0] <= 2:
         return VPolytope(pts)
-    return VPolytope(np.array(_monotone_chain(pts.tolist(), turn_tol)))
+    return VPolytope(np.array(_monotone_chain(pts.tolist())))
 
 
-def _hull_as_given(pts: np.ndarray, turn_tol: float) -> np.ndarray | None:
+def _hull_as_given(pts: np.ndarray) -> np.ndarray | None:
     """The rows as the monotone chain would return them when they already
     form its hull, else None.
 
@@ -247,13 +248,15 @@ def _hull_as_given(pts: np.ndarray, turn_tol: float) -> np.ndarray | None:
     rolled to start at the lexicographic minimum.  They are accepted when
     they rise lexicographically in one run and then fall in one run, and
     every cyclic turn (prev, cur, next), in the chain's own expression,
-    exceeds 1.01 turn_tol (a row equal to the next turns by exactly 0): a
-    strictly convex polygon traversed once, counter-clockwise.  Every test
-    the chain makes on such rows is either negative (a point of the other
-    side, popped) or, by convexity, at least the smaller of the turns at the
-    two ends of the edge it tests against.  A computed cross product is
-    within 1e-15 extent**2, a thousandth of turn_tol, of the exact one, so
-    the 1% margin keeps every such test above turn_tol: the chain keeps
+    exceeds 1e-14 extent**2 (a row equal to the next turns by exactly 0): a
+    strictly convex polygon traversed once, counter-clockwise.  That margin
+    is a rounding guard, not a hull tolerance.  A computed cross product is
+    within 1e-15 extent**2 of the exact one, so every exact turn exceeds
+    0.9e-14 extent**2.  Among the vertices of a convex polygon, the twice
+    signed area of a triangle is, in absolute value, at least the least turn
+    (the distance to a chord is unimodal along the boundary), so every test
+    the chain makes on these rows is exactly at least 0.9e-14 extent**2 from
+    0, and its computed sign is the exact one: the chain at turn 0 keeps
     exactly these rows.
     """
     bits = np.ascontiguousarray(pts).view(np.uint64)
@@ -269,15 +272,16 @@ def _hull_as_given(pts: np.ndarray, turn_tol: float) -> np.ndarray | None:
     (bx, by), (x, y), (ax, ay) = ring[:-2].T, ring[1:-1].T, ring[2:].T
     rising = (x < ax) | ((x == ax) & (y < ay))
     turns = (x - bx) * (ay - by) - (y - by) * (ax - bx)
-    if (rising[1:] > rising[:-1]).any() or turns.min() <= 1.01 * turn_tol:
+    extent = float(np.ptp(rows, axis=0).max())
+    if (rising[1:] > rising[:-1]).any() or turns.min() <= 1e-14 * extent * extent:
         return None
     return rows
 
 
-def _monotone_chain(rows: list[list[float]], turn_tol: float) -> list[list[float]]:
+def _monotone_chain(rows: list[list[float]]) -> list[list[float]]:
     """Andrew's monotone chain on rows sorted lexicographically, at least
     three and all distinct: the lower then the upper hull, each point kept
-    only where the turn into the next exceeds ``turn_tol``."""
+    only where the computed turn into the next is positive."""
 
     def chain(rows: list[list[float]]) -> list[list[float]]:
         # Python floats: the same IEEE arithmetic as numpy scalars, without
@@ -286,7 +290,7 @@ def _monotone_chain(rows: list[list[float]], turn_tol: float) -> list[list[float
         for p in rows:
             while len(out) >= 2:
                 o, a = out[-2], out[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) > turn_tol:
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) > 0.0:
                     break
                 out.pop()
             out.append(p)
@@ -300,12 +304,12 @@ def minkowski_hull_2d(p: VPolytope, q: VPolytope) -> VPolytope:
 
     Equivalent to ``hull_2d(minkowski_sum(p, q).vertices)`` but linear in the
     hull sizes instead of quadratic, which is what keeps difference bodies of
-    fine polygonal approximations affordable.
+    fine polygonal approximations affordable.  The operands' hulls are their
+    prepared ``_ccw_hull``.
     """
     if p.dim != 2 or q.dim != 2:
         raise DimensionMismatchError("minkowski_hull_2d expects planar bodies")
-    a = hull_2d(p.vertices).vertices
-    b = hull_2d(q.vertices).vertices
+    a, b = _ccw_hull(p), _ccw_hull(q)
     if a.shape[0] == 1:
         return VPolytope(b + a[0])
     if b.shape[0] == 1:
@@ -337,7 +341,7 @@ def difference_hull(p: VPolytope) -> VPolytope:
 
 
 def _ccw_hull(p: VPolytope) -> np.ndarray:
-    """``hull_2d`` of a planar body's vertices, prepared once per body."""
+    """``hull_2d`` of a planar body's vertices, prepared once: every planar path reads it."""
     return p._prepared("hull", lambda: hull_2d(p.vertices).vertices)
 
 
@@ -426,17 +430,12 @@ class _Sectors:
 
 def _support_sectors(p: VPolytope) -> _Sectors:
     """The sectors of a planar body's support function, prepared once per
-    body.  Vertex i of its hull is extreme from the outward normal of the
-    edge into it to that of the edge out of it; a point or a segment has
-    one or two sectors.  The hull turns by more than 0 at every vertex, not
-    by ``hull_2d``'s tolerance, so it drops no vertex that can be extreme:
-    its supports are the vertex maxima."""
+    body from its ``_ccw_hull``.  Vertex i of the hull is extreme from the
+    outward normal of the edge into it to that of the edge out of it; a
+    point or a segment has one or two sectors.  The hull keeps every vertex
+    whose computed turn is positive, so its supports are the vertex maxima."""
     def build():
-        hull = _hull_as_given(p.vertices, 0.0)
-        if hull is None:
-            hull = _unique_rows(p.vertices)
-            if hull.shape[0] > 2:
-                hull = np.array(_monotone_chain(hull.tolist(), 0.0))
+        hull = _ccw_hull(p)
         into = hull - np.concatenate((hull[-1:], hull[:-1]))  # the edge into each vertex
         return _Sectors(np.arctan2(-into[:, 0], into[:, 1]), hull)
 

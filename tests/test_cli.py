@@ -263,6 +263,18 @@ def test_numerical_failures_exit_three(capsys, body_files, monkeypatch, tmp_path
                 "to the gauge body (slack") in err
 
 
+def test_sliver_gauge_of_full_rank_exits_three(capsys, body_files, tmp_path):
+    # A triangle of height 1e-12 keeps its hull, so C - C has full rank:
+    # its failed interior certificate is a numerical failure, not bad input.
+    sliver = tmp_path / "sliver.json"
+    sliver.write_text(json.dumps({"dim": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [0.5, 1e-12]]}))
+    for argv in (("radii", "--quantity", "D"), ("verify",)):
+        code, out, err = run_cli(capsys, *argv, "--body", body_files["square"],
+                                 "--gauge", str(sliver))
+        assert code == 3 and out == ""
+        assert "numerical failure" in err and "full rank" in err
+
+
 def test_output_uses_nine_significant_digits(capsys, body_files):
     _, out, _ = run_cli(
         capsys, "radii", "--body", body_files["square"], "--gauge",

@@ -1,11 +1,13 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from polyradii import convex_core as core
+from polyradii.bodies import BodySpec, make_body
 from polyradii.convex_core import (
     DimensionMismatchError,
     HPolytope,
@@ -235,11 +237,10 @@ def test_hull_idempotent_and_permutation_invariant(monkeypatch):
         assert np.array_equal(hull_2d(hull).vertices, hull)
         shuffled = x[rng.permutation(len(x))]
         with monkeypatch.context() as m:
-            m.setattr(core, "_hull_as_given", lambda pts, turn_tol: None)
+            m.setattr(core, "_hull_as_given", lambda pts: None)
             reference = hull_2d(shuffled).vertices
         assert np.array_equal(hull.view(np.uint64), reference.view(np.uint64))
-        extent = float(np.ptp(x, axis=0).max())
-        passed_through += core._hull_as_given(x, 1e-12 * extent * extent) is not None
+        passed_through += core._hull_as_given(x) is not None
     assert passed_through >= 750  # of 880 inputs, 840 of them hulls
 
 
@@ -319,8 +320,8 @@ EPS = np.finfo(float).eps
 def _sector_bodies(rng):
     """Random polygons on and off the origin, each listed with interior,
     duplicate and nearly collinear rows (points of its edges, up to
-    rounding, and one pushed out of an edge by a turn that ``hull_2d``
-    tolerates and drops, though it is extreme), in random order."""
+    rounding, and one pushed out of an edge by a turn of 0.5e-12
+    extent**2, which is extreme), in random order."""
     for trial in range(40):
         points = rng.normal(size=(int(rng.integers(3, 30)), 2)) * rng.uniform(0.1, 10.0, size=2)
         if trial % 2:
@@ -413,6 +414,74 @@ def test_planar_gauge_normals_are_polar_vertices_that_attain_it():
         assert values[-1] == 0.0  # the origin
 
 
+def _exact_facets(points: np.ndarray) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """The facets n . x <= b of conv(points) in exact rational arithmetic:
+    Andrew's monotone chain on the rows as ``Fraction``s, and one outward
+    normal n (not unit) and offset b per edge of that hull."""
+    rows = sorted({(Fraction(x), Fraction(y)) for x, y in points.tolist()})
+
+    def chain(rows):
+        out = []
+        for p in rows:
+            while len(out) >= 2 and ((out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                                     - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = chain(rows)[:-1] + chain(rows[::-1])[:-1]
+    return [(by - ay, ax - bx, (by - ay) * ax + (ax - bx) * ay)
+            for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1])]
+
+
+def _exact_gauge(facets, queries: np.ndarray) -> np.ndarray:
+    """max_f n_f . x / b_f at each query, rounded once, for an origin interior
+    to the facets (every b_f > 0)."""
+    assert all(b > 0 for _, _, b in facets)
+    return np.array([float(max((nx * Fraction(x) + ny * Fraction(y)) / b for nx, ny, b in facets))
+                     for x, y in queries.tolist()])
+
+
+def test_planar_gauges_of_near_collinear_polygons_match_exact_facets():
+    # Random polygons about the origin, each with points pushed 1e-16 to
+    # 1e-8 extent out of or into its edges: the hull keeps every pushed-out
+    # point whose computed turn is positive, so the gauge is that of the
+    # exact hull, and supports are the vertex maxima.  Each float offset
+    # b_f = n_f . v loses up to about EPS |v| to rounding, so the gauge's
+    # relative error is bounded by 1e-14 or, on thin bodies, by 2 EPS kappa,
+    # kappa = max |v| / min_f (b_f / |n_f|).
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        points = rng.normal(size=(int(rng.integers(3, 12)), 2)) * rng.uniform(0.1, 10.0, size=2)
+        hull = hull_2d(points).vertices
+        extent = np.ptp(points, axis=0).max()
+        ends = rng.integers(len(hull), size=4)
+        edges = np.roll(hull, -1, axis=0)[ends] - hull[ends]
+        outward = np.column_stack([edges[:, 1], -edges[:, 0]]) / np.linalg.norm(edges, axis=1)[:, None]
+        push = rng.choice([-1.0, 1.0], size=(4, 1)) * 10.0 ** rng.uniform(-16, -8, size=(4, 1))
+        notches = hull[ends] + rng.uniform(0.05, 0.95, size=(4, 1)) * edges + push * extent * outward
+        rows = rng.permutation(np.vstack([hull, notches]) - hull.mean(axis=0))
+        body = VPolytope(rows)
+        queries = np.vstack([rng.normal(size=(12, 2)), rows])
+        facets = _exact_facets(rows)
+        kappa = np.abs(rows).max() / min(float(b) / math.hypot(nx, ny) for nx, ny, b in facets)
+        exact = _exact_gauge(facets, queries)
+        np.testing.assert_array_less(np.abs(core._GaugeEvaluator(body)(queries) - exact),
+                                     max(1e-14, 2 * EPS * kappa) * exact)
+        dense = np.max(queries @ rows.T, axis=1)
+        np.testing.assert_array_less(np.abs(support_values(body, queries) - dense),
+                                     1e-15 * np.abs(rows).max() * np.abs(queries).sum(axis=1))
+    # The centred body [C; -C] of the square/triangle pair shifted by 1e7,
+    # long and thin (kappa about 1e7), at the vertices of [K; -K].
+    shift = np.array([-1e7, 1e7])
+    c = make_body(BodySpec("equilateral_triangle")).vertices + shift
+    k = make_body(BodySpec("centered_square")).vertices - shift
+    centred, queries = np.vstack([c, -c]), np.vstack([k, -k])
+    exact = _exact_gauge(_exact_facets(centred), queries)
+    np.testing.assert_array_less(
+        np.abs(core._GaugeEvaluator(VPolytope(centred))(queries) - exact), 1e-8 * exact)
+
+
 def test_planar_gauge_ties_go_to_the_lowest_facet():
     # Exact products: facets 0..3 of the box are its bottom, right, top and
     # left edges, and every vertex ray ties two of them, across the facet
@@ -482,10 +551,10 @@ def test_interior_point_with_repeated_vertices():
 
 
 def test_interior_point_rejects_sliver_below_certificate():
-    # A triangle of height 1e-12 has no point with slack above the interior
-    # margin, so it counts as lower-dimensional at working precision.
+    # A triangle of height 1e-12 has full rank, but no point with slack
+    # above the interior margin: a numerical failure, not a flat body.
     sliver = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-12]])
-    with pytest.raises(LowerDimensionalError):
+    with pytest.raises(RuntimeError):
         interior_point(sliver)
 
 

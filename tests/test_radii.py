@@ -6,6 +6,7 @@ import pytest
 
 from polyradii import convex_core, lp_solver, radii
 from polyradii.bodies import BodySpec, make_body
+from polyradii.cli import _REULEAUX_REFERENCES
 from polyradii.convex_core import (
     DimensionMismatchError,
     VPolytope,
@@ -792,9 +793,9 @@ def test_verify_chain_on_reuleaux_runs_no_monotone_chain(monkeypatch):
     runs = []
     chain = convex_core._monotone_chain
 
-    def counted(rows, turn_tol):
+    def counted(rows):
         runs.append(len(rows))
-        return chain(rows, turn_tol)
+        return chain(rows)
 
     monkeypatch.setattr(convex_core, "_monotone_chain", counted)
     c = make_body(BodySpec("reuleaux_triangle", n=96))
@@ -826,6 +827,19 @@ def test_planar_sizes_are_linear_in_memory():
         assert peak <= 8 * 2 ** 20, (call.__name__, peak)
 
 
+def test_fine_reuleaux_sizes_reach_the_closed_forms():
+    # At n = 12 288 the hulls of C and K - K keep every vertex, however
+    # slight its turn (36 864 of C's), so all four sizes reach the values
+    # the Reuleaux study converges to.
+    c = make_body(BodySpec("reuleaux_triangle", n=12288))
+    k = transform(c, 1.0, [0.0, 0.0], reflect=True)
+    values = {"R": circumradius(difference_hull(k), c).value,
+              "r": inradius(difference_hull(k), c).value,
+              "D": diameter(k, c).value, "omega": min_width(k, c).value}
+    for quantity, value in values.items():
+        assert abs(value - _REULEAUX_REFERENCES[quantity]) <= 1e-12, quantity
+
+
 def test_planar_containment_maps_the_sectors_of_the_inner_body(monkeypatch):
     # The engine's inner body is the body translated and scaled by positive
     # powers of two, so it reads its supports off the body's own sectors:
@@ -843,13 +857,13 @@ def test_planar_containment_maps_the_sectors_of_the_inner_body(monkeypatch):
         assert one.value == other.value and (one.center == other.center).all()
 
 
-def test_planar_sizes_see_a_vertex_that_hull_2d_drops():
-    # The notch (1e-6, -4.9e-7) turns by less than hull_2d's tolerance, so
-    # the hull drops it, yet it sticks out of the hull by 4.9e-7: supports,
-    # D, R and r must still see it, as the vertex maxima do.
+def test_planar_sizes_see_a_vertex_of_slight_turn():
+    # The notch (1e-6, -4.9e-7) turns by about 1e-12 extent**2, yet it sticks
+    # out of the triangle of the other three by 4.9e-7: the hull keeps it,
+    # and supports, D, R and r see it, as the vertex maxima do.
     k = VPolytope([[0.0, 0.0], [1e-6, -4.9e-7], [2e-6, 0.0], [0.0, 1.0]])
     square = VPolytope([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-    assert len(hull_2d(k.vertices)) == 3
+    assert len(hull_2d(k.vertices)) == 4
     directions = np.random.default_rng(21).normal(size=(200, 2))
     dense = (directions @ k.vertices.T).max(axis=1)
     np.testing.assert_allclose(support_values(k, directions), dense, rtol=0, atol=1e-15)
@@ -869,11 +883,16 @@ def test_flatness_of_the_gauge_is_the_rank_of_c_minus_c():
         diameter(SQUARE, thin)
     with pytest.raises(RuntimeError, match="full rank, but no point has an interior slack"):
         verify_chain(SQUARE, thin)
-    # At height 1e-12 C - C is flat by the same rule: bad input, as before.
-    flat = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-12]])
-    for call in (diameter, min_width, verify_chain):
-        with pytest.raises(ValueError):
-            call(SQUARE, flat)
+    # At height 1e-12 C - C keeps rank 2 by the same rule: the same
+    # failures, and the width answers as at 1e-10.
+    sliver = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-12]])
+    with pytest.raises(RuntimeError, match="full rank, but origin is not interior"):
+        diameter(SQUARE, sliver)
+    with pytest.raises(RuntimeError, match="full rank, but no point has an interior slack"):
+        verify_chain(SQUARE, sliver)
+    square = VPolytope([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    for gauge in (thin, sliver):
+        assert min_width(square, gauge).value == 4.0
 
 
 @pytest.mark.parametrize("height", [1e-8, 1e-10, 3e-12, 1e-12])

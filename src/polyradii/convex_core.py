@@ -5,9 +5,10 @@ contain redundant points: every functional downstream reads through a max or
 an LP, so redundancy is harmless and is only ever pruned by the 2D hull.
 That hull keeps every point where the computed turn is positive, with no
 turn tolerance: it passes a polygon that is already its own hull through
-in one linear, vectorised check, and runs Andrew's monotone chain on
-anything else.  A planar body prepares that one hull (``_ccw_hull``), and
-its facets, polar vertices, sectors and difference hull all read it.
+in one vectorised check of the chain's own tests, and runs Andrew's
+monotone chain on anything else.  A planar body prepares that one hull
+(``_ccw_hull``), and its facets, polar vertices, sectors and difference
+hull all read it.
 Halfspace representations exist solely in the plane, where facet
 enumeration is exact and cheap.  Gauges are evaluated here as well, by a
 batched ``_GaugeEvaluator`` on what its body prepares once (``VPolytope``):
@@ -25,6 +26,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +77,8 @@ class VPolytope:
 
     What the read-only vertices alone determine (difference hull, rank,
     span, facets, polar vertices, gauge-LP columns, frames, half and
-    recentred bodies, the interior certificate) is cached on first use by
+    recentred bodies, the centroid, the planar master's start basis, the
+    interior certificate) is cached on first use by
     ``_prepared`` for the body's lifetime, never in ``repr``, ``to_dict``,
     equality or pickles.  Each call forks the certificate's gauge evaluator.
     """
@@ -109,6 +112,9 @@ class VPolytope:
 
     def _rank(self) -> tuple[int, np.ndarray]:
         return self._prepared("rank", lambda: _flat_rank(self.vertices))
+
+    def _centroid(self) -> np.ndarray:
+        return self._prepared("centroid", lambda: self.vertices.mean(axis=0))
 
     def to_dict(self) -> dict:
         return {"dim": self.dim, "vertices": self.vertices.tolist()}
@@ -220,9 +226,9 @@ def hull_2d(points) -> VPolytope:
     however slight its turn is kept.  Most planar inputs are already such a
     hull (a body hulled before, the operands and merge walk of a Minkowski
     sum), so one vectorised pass over the rows as given comes first: when
-    they are their own hull (``_hull_as_given``) they are returned in linear
-    time.  Any other input is sorted and hulled by the monotone chain.  The
-    output is the chain's in both cases, bit for bit.
+    they are their own hull (``_hull_as_given``) they are returned with no
+    Python loop.  Any other input is sorted and hulled by the monotone
+    chain.  The output is the chain's in both cases, bit for bit.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < 1:
@@ -245,36 +251,36 @@ def _hull_as_given(pts: np.ndarray) -> np.ndarray | None:
     form its hull, else None.
 
     Exact repeats of the previous row (cyclically) are dropped and the rows
-    rolled to start at the lexicographic minimum.  They are accepted when
-    they rise lexicographically in one run and then fall in one run, and
-    every cyclic turn (prev, cur, next), in the chain's own expression,
-    exceeds 1e-14 extent**2 (a row equal to the next turns by exactly 0): a
-    strictly convex polygon traversed once, counter-clockwise.  That margin
-    is a rounding guard, not a hull tolerance.  A computed cross product is
-    within 1e-15 extent**2 of the exact one, so every exact turn exceeds
-    0.9e-14 extent**2.  Among the vertices of a convex polygon, the twice
-    signed area of a triangle is, in absolute value, at least the least turn
-    (the distance to a chord is unimodal along the boundary), so every test
-    the chain makes on these rows is exactly at least 0.9e-14 extent**2 from
-    0, and its computed sign is the exact one: the chain at turn 0 keeps
-    exactly these rows.
+    rolled to start at the lexicographic minimum.  If they rise
+    lexicographically in one run and then fall in one, with no two equal,
+    sorting them gives the chain's input.  A pass returns its run (the
+    rising one, or the falling one reversed) when each row q pops the row of
+    the other run before it, turn(last run row, that row, q) <= 0, and turns
+    left off the last two run rows, turn > 0.  These are the chain's own
+    products, taken for all q at once: rows pass exactly on that path.
     """
     bits = np.ascontiguousarray(pts).view(np.uint64)
     rows = pts[(bits != np.concatenate((bits[-1:], bits[:-1]))).any(axis=1)]
     if rows.shape[0] < 3:
         return None
-    x, y = rows[:, 0], rows[:, 1]
-    lowest = np.flatnonzero(x == x.min())
-    start = int(lowest[np.argmin(y[lowest])])
-    rows = np.concatenate((rows[start:], rows[:start]))
-    # Each row with the row behind it and the row ahead, cyclically.
-    ring = np.concatenate((rows[-1:], rows, rows[:1]))
-    (bx, by), (x, y), (ax, ay) = ring[:-2].T, ring[1:-1].T, ring[2:].T
-    rising = (x < ax) | ((x == ax) & (y < ay))
-    turns = (x - bx) * (ay - by) - (y - by) * (ax - bx)
-    extent = float(np.ptp(rows, axis=0).max())
-    if (rising[1:] > rising[:-1]).any() or turns.min() <= 1e-14 * extent * extent:
+    order, index = np.lexsort(rows.T[::-1]), np.arange(rows.shape[0])
+    rows, order = np.roll(rows, -order[0], axis=0), (order - order[0]) % index.size
+    (x, y), (ax, ay) = rows.T, np.roll(rows, -1, axis=0).T
+    rising = (x < ax) | ((x == ax) & (y < ay))  # each row to the next, cyclically
+    top = int(np.argmin(rising))  # the lexicographic maximum
+    if (rising[1:] > rising[:-1]).any() or not (np.diff(rows[order], axis=0) != 0).any(1).all():
         return None
+
+    def turns(o, a, p):  # the chain's expression, row by row
+        return (a.T[0] - o.T[0]) * (p.T[1] - o.T[1]) - (a.T[1] - o.T[1]) * (p.T[0] - o.T[0])
+
+    for run, seq in ((index <= top, order), ((index >= top) | (index == 0), order[::-1])):
+        s, run = rows[seq], run[seq]
+        count, own = np.cumsum(run)[:-1], np.flatnonzero(run)  # run rows before each q = s[1:]
+        last, below = s[own[count - 1]], s[own[np.maximum(count - 2, 0)]]
+        if (((turns(last, s[:-1], s[1:]) > 0.0) & ~run[:-1]).any()
+                or ((turns(below, last, s[1:]) <= 0.0) & (count > 1)).any()):
+            return None
     return rows
 
 
@@ -571,7 +577,8 @@ class _GaugeEvaluator:
     """
 
     def __init__(self, body: VPolytope):
-        self.body, self.dim = body, body.dim
+        # A body caches its certificate: a proxy keeps that from being a cycle.
+        self.body, self.dim = weakref.proxy(body), body.dim
         self.facets = self.polar_vertices = self.span = None
         rank, vt = body._rank()
         if 0 < rank < body.dim:  # flat: V_r, orthonormal, and the evaluator on it

@@ -7,14 +7,14 @@ lambda h_C(u) for every facet normal u of C, and containment of homothets
 is self-dual, so r(K, C) = 1 / R(C, K).  Kelley's cutting planes solve this
 support-function program on a warm-started simplex master of d + 1 rows,
 and a batched gauge of C supplies the facets its solution violates.  In
-the plane every facet is a cut at the start, so one master suffices, with
-no gauge; elsewhere the master starts from the facet cones C's gauge
-evaluator already holds.  The engine keeps the best centre its gauge has
-bounded, and stops as soon as a master's lambda meets that bound; a flat C
-is restricted to its affine hull first.  Gauges are read off the facets in
-the plane and off the facet cones their LPs have met elsewhere; planar
-gauges and supports take one angular search per point, so no planar path
-forms a product of two vertex lists.  The planar diameter swaps the
+the plane C's facets alone are the cuts, and one master from a facet basis
+C prepares suffices, with no gauge; elsewhere the master starts from the
+facet cones C's gauge evaluator already holds.  The engine keeps the best
+centre its gauge has bounded, and stops as soon as a master's lambda
+meets that bound; a flat C is restricted to its affine hull first.  Gauges
+are read off the facets in the plane and off the facet cones their LPs
+have met elsewhere; planar gauges and supports take one angular search per
+point, so no planar path forms a product of two vertex lists.  The planar diameter swaps the
 maximum over vertex pairs for one over the gauge's polar vertices
 p_f = n_f / b_f:
 sup_{i,j} gauge(v_j - v_i) = max_f (h_K(p_f) + h_K(-p_f)); off the plane
@@ -222,13 +222,13 @@ def _frame(outer: VPolytope, known: _GaugeEvaluator | None = None,
     if framed is None or known is None or not np.array_equal(known.body.vertices,
                                                              framed.vertices):
         known = None if framed is None else _certified(framed)[0].fork()
-    shift = np.zeros(outer.dim) if origin else outer.vertices.mean(axis=0)
+    shift = np.zeros(outer.dim) if origin else outer._centroid()
     return _Frame(shift, hull, scales, extent, known)
 
 
 def _recentred(p: VPolytope) -> VPolytope:
     """p translated by minus its vertex centroid, prepared once per body."""
-    return p._prepared("recentred", lambda: VPolytope(p.vertices - p.vertices.mean(axis=0)))
+    return p._prepared("recentred", lambda: VPolytope(p.vertices - p._centroid()))
 
 
 def _containment(program: str, k: VPolytope, c: VPolytope,
@@ -244,13 +244,12 @@ def _containment(program: str, k: VPolytope, c: VPolytope,
     """
     if frame is None:
         frame = _frame(c)
-    inner_shift = k.vertices.mean(axis=0)
-    inner = k.vertices - inner_shift
-    hull = frame.hull
-    size = max(frame.extent, np.abs(inner).max())
-    if np.abs(inner - inner @ hull @ hull.T).max() > 1e-12 * size:
+    inner_shift, inner, hull = k._centroid(), _recentred(k).vertices, frame.hull
+    flat = hull.shape[1] < k.dim  # else hull is the identity, and its products no-ops
+    if flat and np.abs(inner - inner @ hull @ hull.T).max() > 1e-12 * max(
+            frame.extent, np.abs(inner).max()):
         return np.inf, inner_shift
-    inner = inner @ hull * frame.scales
+    inner = (inner @ hull if flat else inner) * frame.scales
     # R(aK, C) = a R(K, C) with centre a x.
     a = _power_of_two_scale(float(np.abs(inner).max(initial=0.0)))
     lam, x = 0.0, np.zeros(0)
@@ -262,8 +261,8 @@ def _containment(program: str, k: VPolytope, c: VPolytope,
             inner_body._prepared("support sectors", lambda: _support_sectors(k).mapped(
                 inner_shift, frame.scales, a))
         lam, x = _facet_generation(program, inner_body, frame.evaluate)
-    lam, x = lam / a, x / a
-    return lam, inner_shift + hull @ (x / frame.scales) - lam * frame.shift
+    lam, x = lam / a, x / a / frame.scales
+    return lam, inner_shift + (hull @ x if flat else x) - lam * frame.shift
 
 
 def _require_finite(values: np.ndarray, program: str) -> None:
@@ -289,8 +288,11 @@ def _facet_generation(program: str, inner_body: VPolytope,
     centre is the incumbent.  The loop stops when the oracle's bound is
     within 1e-9 max(1, lambda) of the master's, or, right after a master,
     when the incumbent's is, returning the incumbent's centre.  In the plane
-    every facet is a cut, so the cuts' bound max_f (h_f - <u_f, x>) / b_f
-    is the oracle's and the first master ends the loop with no gauge.  Off
+    the cuts are the facets alone, the points their polar vertices, and the
+    master starts from the prepared facets 0, b and b + 1, b the last whose
+    normal turns less than pi from facet 0's: their polar vertices hold the
+    origin (on an edge at a gap of pi).  The cuts' bound max_f (h_f -
+    <u_f, x>) / b_f is the oracle's, so one master ends the loop.  Off
     the plane the cuts also start from every facet cone ``evaluate`` holds,
     its polar vertices y_f scaled to unit length, and the first oracle is
     taken at the inner centroid, before any master: for two centred bodies
@@ -300,23 +302,26 @@ def _facet_generation(program: str, inner_body: VPolytope,
     """
     d, outer_body, inner = evaluate.dim, evaluate.body, inner_body.vertices
     planar = evaluate.facets is not None
-    start = np.vstack([np.eye(d), np.full((1, d), -d ** -0.5)])
     if planar:
-        normals = np.vstack([start, evaluate.facets.normals])
-        offsets = np.concatenate([support_values(outer_body, start), evaluate.facets.offsets])
+        normals, offsets = evaluate.facets.normals, evaluate.facets.offsets
+        b = outer_body._prepared("start basis", lambda: int(np.flatnonzero(  # turns < pi
+            normals[0, 0] * normals[:-1, 1] > normals[0, 1] * normals[:-1, 0]).max(initial=1)))
+        basis = np.array([0, b, b + 1])
     else:
+        start = np.vstack([np.eye(d), np.full((1, d), -d ** -0.5)])
         normals = np.vstack([start, evaluate.normals / np.linalg.norm(evaluate.normals,
                                                                       axis=1)[:, None]])
-        offsets = support_values(outer_body, normals)
+        offsets, basis = support_values(outer_body, normals), np.arange(d + 1)
     supports = support_values(inner_body, normals)
-    lam, x, gap, basis = 0.0, np.zeros(d), np.inf, np.arange(d + 1)
+    lam, x, gap = 0.0, np.zeros(d), np.inf
     upper, centre = np.inf, x  # the incumbent: the least oracle bound and its centre
     for rounds in range(_MAX_CUT_ROUNDS):
         master = f"{program} facet LP ({d + 1} x {offsets.size})"
         # Off the plane the first oracle is taken at the inner centroid.
         mastered = planar or rounds > 0
         if mastered:
-            prices = _simplex(normals / offsets[:, None], supports / offsets, basis)
+            points = evaluate.polar_vertices if planar else normals / offsets[:, None]
+            prices = _simplex(points, supports / offsets, basis)
             if prices is None:
                 raise RuntimeError(f"{master} ended with status numerical-failure (d={d}, "
                                    f"{offsets.size} cuts, last oracle-master gap {gap:.3e})")
@@ -615,11 +620,15 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     """
     _check_dims(k, c)
     _check_tol(tol)
+    return _verify_chain(k, c, tol, {})
+
+
+def _verify_chain(k: VPolytope, c: VPolytope, tol: float, known: dict) -> ChainReport:
+    """``verify_chain`` reusing the R, (C-C)/2 and D that ``radii_report`` has."""
     a, b = difference_hull(k), difference_hull(c)
     gauge_c, shift = _interior_gauge(c)
-    half = _half_difference_gauge(c)
-
-    a2, _, y_star = _diameter(k, half)
+    half = known.get("half") or _half_difference_gauge(c)
+    a2, _, y_star = known.get("D") or _diameter(k, half)
     directions = _unit_rows(b.vertices)
     sweep = directions if y_star is None else np.vstack([y_star, directions])
     a1 = 2.0 * float(np.max(support_values(a, sweep) / support_values(b, sweep)))
@@ -644,7 +653,7 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     keep = np.isfinite(gamma_a) & (gamma_b < 1e12)
     chord_value = 2.0 * float(np.max(gamma_b[keep] / gamma_a[keep])) if keep.any() else 0.0
 
-    two_r = 2.0 * _circumradius(k, c, frame_c)[0]
+    two_r = 2.0 * (known["R"]["value"] if "R" in known else _circumradius(k, c, frame_c)[0])
     # C = -C exactly when the origin is interior and C holds -v for each vertex v.
     centered = bool(not shift.any() and _is_centered(gauge_c._evaluate))
 
@@ -673,22 +682,25 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
 def radii_report(k: VPolytope, c: VPolytope, quantities=("R", "r", "D", "omega"),
                  chain: bool = True, tol: float = 1e-6) -> dict:
     """The ``quantities`` named (any of R, r, D and omega) plus the chain
-    report, in stable key order.  Other names and a bad chain ``tol`` are
-    rejected before anything is computed."""
+    report, which reuses their R and D, in stable key order.  Other names,
+    unequal dimensions and a bad chain ``tol`` are rejected first."""
     if chain:
         _check_tol(tol)
     unknown = [name for name in quantities if name not in ("R", "r", "D", "omega")]
     if unknown:
         raise ValueError(f"unknown quantities {unknown}: expected R, r, D or omega")
-    report: dict = {}
+    _check_dims(k, c)
+    report, known = {}, {}  # known: what the chain reuses
     if "R" in quantities:
-        report["R"] = circumradius(k, c).to_dict()
+        report["R"] = known["R"] = circumradius(k, c).to_dict()
     if "r" in quantities:
         report["r"] = inradius(k, c).to_dict()
     if "D" in quantities:
-        report["D"] = diameter(k, c).to_dict()
+        known["half"] = _half_difference_gauge(c)
+        value, pair, _ = known["D"] = _diameter(k, known["half"])
+        report["D"] = RadiiResult("D", value, pair=pair).to_dict()
     if "omega" in quantities:
         report["omega"] = min_width(k, c).to_dict()
     if chain:
-        report["chain"] = verify_chain(k, c, tol=tol).to_dict()
+        report["chain"] = _verify_chain(k, c, tol, known).to_dict()
     return report

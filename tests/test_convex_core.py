@@ -244,6 +244,63 @@ def test_hull_idempotent_and_permutation_invariant(monkeypatch):
     assert passed_through >= 750  # of 880 inputs, 840 of them hulls
 
 
+def _pass_through_fuzz_inputs(rng):
+    """Convex polygons of 3 to 60 vertices (on a circle, hulls of Gaussian
+    clouds, and astroid-like caps), squeezed to aspect 1e-12..1, some with a
+    point inserted within 1e-16..1e-6 of an edge (relative to its length),
+    mapped by a random linear map of condition <= 1e3, scaled by 1e-8..1e8
+    and shifted by up to 1e7, and rolled to a random start."""
+    for _ in range(2000):
+        count, kind = int(rng.integers(3, 60)), int(rng.integers(3))
+        t = np.sort(rng.uniform(0.0, 2.0 * np.pi, count))
+        if kind == 0:
+            p = np.column_stack([np.cos(t), np.sin(t)])
+        else:
+            cloud = (rng.normal(size=(count, 2)) if kind == 1
+                     else np.column_stack([np.cos(t) ** 3, np.sin(t)]))
+            p = hull_2d(cloud).vertices
+        p = p * [1.0, 10.0 ** rng.uniform(-12.0, 0.0)]
+        if rng.random() < 0.5:
+            i = int(rng.integers(len(p)))
+            edge = p[(i + 1) % len(p)] - p[i]
+            normal = np.array([edge[1], -edge[0]]) * 10.0 ** rng.uniform(-16.0, -6.0)
+            p = np.insert(p, i + 1, p[i] + rng.uniform(0.05, 0.95) * edge
+                          + rng.choice([-1.0, 1.0]) * normal, axis=0)
+        while np.linalg.cond(linear := rng.normal(size=(2, 2))) > 1e3:
+            pass
+        p = p @ linear.T * 10.0 ** rng.uniform(-8.0, 8.0)
+        p = p + rng.uniform(-1e7, 1e7, size=2) * (rng.random() < 0.5)
+        yield np.roll(p if np.linalg.det(linear) > 0 else p[::-1],
+                      int(rng.integers(len(p))), axis=0)
+
+
+def test_hull_pass_through_is_the_monotone_chain_bit_for_bit():
+    # The pass-through takes rows only where the chain's own tests, made on
+    # all rows at once, keep exactly them: whatever the scale, aspect and
+    # offset, an accepted polygon is the chain's hull of its rows.
+    accepted = 0
+    for p in _pass_through_fuzz_inputs(np.random.default_rng(2026)):
+        given = core._hull_as_given(p)
+        if given is not None:
+            accepted += 1
+            chain = np.array(core._monotone_chain(core._unique_rows(p).tolist()))
+            assert np.array_equal(given.view(np.uint64), chain.view(np.uint64))
+    assert accepted >= 1000
+
+
+def test_fine_reuleaux_bodies_take_no_monotone_chain(monkeypatch):
+    # At n = 49 152 the hulls of the finest approx bodies, their least
+    # exterior angle near 2e-5, pass through: no Python chain runs.
+    calls = []
+    chain = core._monotone_chain
+    monkeypatch.setattr(core, "_monotone_chain", lambda rows: calls.append(1) or chain(rows))
+    c = make_body(BodySpec("reuleaux_triangle", n=49152))
+    k = transform(c, 1.0, [0.0, 0.0], reflect=True)
+    for body in (c, k, difference_hull(k), difference_hull(c)):
+        core._ccw_hull(body)
+    assert calls == []
+
+
 def test_hull_rejects_empty_input():
     with pytest.raises(ValueError):
         hull_2d(np.empty((0, 2)))

@@ -418,13 +418,41 @@ def random_masters():
             yield u / offsets[:, None], support_at(k, u) / offsets, np.arange(d + 1)
 
 
+def planar_master_calls():
+    """R and r of planar pairs whose gauge bodies start the master from
+    antipodal facets (the square and a thin box), from a triangle, from
+    thin polygons down to aspect 1e-12, scaled by 1e8 and 1e-8, and from
+    Reuleaux polygons up to n = 384."""
+    rng = np.random.default_rng(12)
+    square, triangle = make_body(BodySpec("centered_square")), make_body(
+        BodySpec("equilateral_triangle"))
+    pairs = [(square, triangle), (triangle, square), (triangle, triangle)]
+    for aspect in (1e-3, 1e-6, 1e-9, 1e-12):
+        for thin in (square.vertices, rng.normal(size=(9, 2))):
+            thin = thin * [1.0, aspect] * rng.choice([-1.0, 1.0], size=2)
+            pairs += [(VPolytope(rng.normal(size=(6, 2))), VPolytope(thin)),
+                      (VPolytope(thin), triangle)]
+    for scale in (1e8, 1e-8):
+        pairs += [(VPolytope(k.vertices * scale + [3.0 * scale, 0.0]),
+                   VPolytope(c.vertices * scale)) for k, c in pairs[:3]]
+    for n in (24, 96, 384):
+        c = make_body(BodySpec("reuleaux_triangle", n=n))
+        pairs.append((VPolytope(-c.vertices), c))
+    return [call for k, c in pairs for call in (lambda k=k, c=c: circumradius(k, c),
+                                                  lambda k=k, c=c: inradius(k, c))]
+
+
 @pytest.mark.parametrize("stall", [None, 0])
 def test_master_simplex_matches_highs(monkeypatch, stall):
     # The engine's simplex solves max g'z with sum z_f (p_f, 1) = e_{d+1},
-    # z >= 0, from the start basis of the d + 1 start cuts.  Its radius must
-    # be HiGHS's optimum, its final basis's weights a feasible point, and its
-    # centre must satisfy every cut.  ``stall`` 0 takes Bland's rule after
-    # the first pivot; the 6-D chain's a3 master is degenerate, with C centred.
+    # z >= 0.  Off the plane it starts from the basis of the d + 1 start
+    # cuts; a planar master's cuts are the gauge body's facets, and it starts
+    # from their prepared basis, whose weights must be feasible up to
+    # rounding (a square's antipodal facets make them degenerate).  Its
+    # radius must be HiGHS's optimum, its final basis's weights a feasible
+    # point, and its centre must satisfy every cut.  ``stall`` 0 takes
+    # Bland's rule after the first pivot; the 6-D chain's a3 master is
+    # degenerate, with C centred.
     square, triangle = make_body(BodySpec("centered_square")), make_body(
         BodySpec("equilateral_triangle"))
     calls = [lambda: circumradius(square, triangle), lambda: inradius(square, triangle)]
@@ -437,12 +465,16 @@ def test_master_simplex_matches_highs(monkeypatch, stall):
     calls.append(lambda: verify_chain(VPolytope(k), VPolytope(c - c.mean(axis=0))))
     masters = engine_masters(monkeypatch, *calls)
     assert len(masters) == 2 + 10 + 4 and masters[12][0].shape[1] == 6
+    planar = engine_masters(monkeypatch, *planar_master_calls())
+    assert len(planar) == 56 and all(points.shape[1] == 2 for points, _, _ in planar)
     if stall is not None:
         monkeypatch.setattr(radii, "_STALL_PIVOTS", stall)
-    for points, gains, basis in [*masters, *random_masters()]:
-        prices = radii._simplex(points, gains, basis)
+    for points, gains, basis in [*masters, *planar, *random_masters()]:
         columns = np.c_[points, np.ones(gains.size)]
         target = np.eye(columns.shape[1])[-1]
+        if points.shape[1] == 2:
+            assert np.linalg.solve(columns[basis].T, target).min() >= -1e-15
+        prices = radii._simplex(points, gains, basis)
         res = linprog(-gains, A_eq=columns.T, b_eq=target, bounds=(0, None), method="highs")
         assert res.status == 0
         assert prices[-1] == pytest.approx(-res.fun, rel=1e-12, abs=1e-12)

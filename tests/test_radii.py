@@ -12,6 +12,7 @@ from polyradii.convex_core import (
     VPolytope,
     _GaugeEvaluator,
     difference_hull,
+    facets_2d,
     hull_2d,
     member,
     minkowski_sum,
@@ -222,12 +223,12 @@ def test_facet_lps_reject_centres_their_duals_do_not_certify(monkeypatch):
     def simplex_with(prices):
         return lambda points, gains, basis: prices(real_simplex(points, gains, basis))
 
-    # The master's cuts are its d + 1 start cuts and the gauge body's facets.
+    # A planar master's cuts are the gauge body's facets alone.
     monkeypatch.setattr(radii, "_simplex", simplex_with(lambda out: out + [5.0, 5.0, 0.0]))
-    with pytest.raises(RuntimeError, match=r"circumradius facet LP \(3 x 6\).*violates"):
+    with pytest.raises(RuntimeError, match=r"circumradius facet LP \(3 x 3\).*violates"):
         circumradius(SQUARE, TRIANGLE)
     monkeypatch.setattr(radii, "_simplex", simplex_with(lambda out: out * np.nan))
-    with pytest.raises(RuntimeError, match=r"inradius facet LP \(3 x 7\) returned no duals"):
+    with pytest.raises(RuntimeError, match=r"inradius facet LP \(3 x 4\) returned no duals"):
         inradius(SQUARE, TRIANGLE)
 
 
@@ -237,9 +238,51 @@ def test_containment_failures_name_program_size_and_gap(monkeypatch):
                        r"in 1 rounds \(d=3, \d+ cuts, last oracle-master gap \d"):
         circumradius(make_body(BodySpec("simplex", dim=3)), make_body(BodySpec("cube", dim=3)))
     monkeypatch.setattr(radii, "_simplex", lambda points, gains, basis: None)
-    with pytest.raises(RuntimeError, match=r"inradius facet LP \(3 x 7\) ended with status "
-                       r"numerical-failure \(d=2, 7 cuts, last oracle-master gap inf\)"):
+    with pytest.raises(RuntimeError, match=r"inradius facet LP \(3 x 4\) ended with status "
+                       r"numerical-failure \(d=2, 4 cuts, last oracle-master gap inf\)"):
         inradius(SQUARE, TRIANGLE)
+
+
+def test_planar_master_has_the_facets_as_cuts_and_prices_no_start_cut(monkeypatch):
+    # Every facet of a planar gauge body is a cut from the start, priced by
+    # its offset, so the engine takes no support search of the framed outer
+    # body and its one master has exactly one cut per facet.
+    supports, masters, outer = [], [], []
+    real_support, real_simplex, generate = (radii.support_values, radii._simplex,
+                                            radii._facet_generation)
+    monkeypatch.setattr(radii, "support_values", lambda k, u: supports.append(k) or
+                        real_support(k, u))
+    monkeypatch.setattr(radii, "_simplex", lambda points, gains, basis: masters.append(
+        points.shape) or real_simplex(points, gains, basis))
+    monkeypatch.setattr(radii, "_facet_generation", lambda program, inner, evaluate: outer.append(
+        evaluate.body) or generate(program, inner, evaluate))
+    for n in (24, 96):
+        c = make_body(BodySpec("reuleaux_triangle", n=n))
+        for k, gauge_body in ((SQUARE, TRIANGLE), (VPolytope(-c.vertices), c)):
+            supports.clear(), masters.clear(), outer.clear()
+            circumradius(k, gauge_body)
+            assert len(outer) == 1 and not any(body is outer[0] for body in supports)
+            assert masters == [(len(facets_2d(gauge_body).offsets), 2)]
+
+
+def test_radii_report_computes_the_diameter_once_and_four_containments(monkeypatch):
+    # With the chain on, the report hands it its D, with the (C-C)/2 that
+    # D warmed, and its R: one diameter, and containment for R, r, a3 and a4.
+    c = make_body(BodySpec("reuleaux_triangle", n=48))
+    rng = np.random.default_rng(4)
+    pairs = [(SQUARE, TRIANGLE), (VPolytope(-c.vertices), c),
+             (VPolytope(rng.normal(size=(9, 3))), VPolytope(rng.normal(size=(8, 3))))]
+    for k, gauge_body in pairs:
+        calls = {"_diameter": 0, "_containment": 0}
+        with monkeypatch.context() as m:
+            for name in calls:
+                m.setattr(radii, name, lambda *args, _name=name, _real=getattr(radii, name): (
+                    calls.__setitem__(_name, calls[_name] + 1) or _real(*args)))
+            report = radii_report(k, gauge_body)
+        assert calls == {"_diameter": 1, "_containment": 4}
+        assert report["chain"] == verify_chain(k, gauge_body).to_dict()
+        assert report["D"] == diameter(k, gauge_body).to_dict()
+        assert report["R"] == circumradius(k, gauge_body).to_dict()
 
 
 def _engine_work(monkeypatch):

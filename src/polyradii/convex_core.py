@@ -611,7 +611,10 @@ class _GaugeEvaluator:
     def fork(self) -> "_GaugeEvaluator":
         """A copy that starts from the facets cached here and keeps what it
         learns, and its counts, to itself: ``_cache`` rebinds the facet
-        arrays and never writes into them, and ``_walk`` walks on copies."""
+        arrays and never writes into them, and ``_walk`` walks on copies.
+        An evaluator of polar vertices learns nothing, and is its own fork."""
+        if self.polar_vertices is not None:
+            return self
         out = copy.copy(self)
         out.solved = out.walks = out.waves = 0
         if self.span is not None:

@@ -1,12 +1,16 @@
-"""Dense two-phase simplex solver for small gauge and membership programs.
+"""Two-phase revised simplex for small gauge, membership and master programs.
 
-The public LP solver, and the one of the gauge LPs and ``member``; the
-containment masters of ``radii`` run their own revised simplex.  Programs
-have d or d + 1 rows, so the tableau is kept dense and pivoting favours
-robustness over speed.  Entering columns follow Dantzig's rule until pivots
-stall, then switch permanently to Bland's rule, which rules out cycling.
-Pivot and feasibility thresholds are the fixed ``PIVOT_TOL`` and
-``FEASIBILITY_TOL``; callers scale their rows to suit them.
+The public LP solver, and the library's one primal simplex: ``solve`` runs
+the gauge LPs and ``member`` on it, and the containment masters of
+``radii`` call its kernel ``_primal`` from their own warm basis.  Programs
+have d or d + 1 rows, so each pivot inverts the basis from the untouched
+columns and prices every column in one product; there is no tableau to
+drift.  Entering columns follow Dantzig's rule until pivots stall, then
+switch permanently to Bland's rule, which rules out cycling.  Values are
+read as B^-1 b and duals as c_B B^-1 from the final basis.  Pivot and
+feasibility thresholds are the fixed ``PIVOT_TOL`` and ``FEASIBILITY_TOL``,
+and the pricing floor is ``PIVOT_TOL`` or 1e-12 of the objective, whichever
+is larger; callers scale their rows to suit them.
 """
 
 from __future__ import annotations
@@ -92,13 +96,14 @@ class LpOutcome:
 
 
 def solve(lp: LinearProgram, *, max_iterations: int | None = None) -> LpOutcome:
-    """Solve ``lp`` with a two-phase dense simplex.
+    """Solve ``lp`` with a two-phase revised simplex (``_primal``).
 
     Returns an LpOutcome whose status is one of ``optimal``, ``infeasible``,
-    ``unbounded`` or ``numerical-failure`` (iteration guard tripped).  When
-    optimal, the solution satisfies every constraint within
-    ``FEASIBILITY_TOL`` and ``duals`` solves the basis system, so for
-    equality rows it is the usual Lagrange multiplier vector.
+    ``unbounded`` or ``numerical-failure`` (iteration guard tripped, or a
+    singular basis).  When optimal, the basic values B^-1 b of the final
+    basis B, clipped at zero, satisfy every constraint within
+    ``FEASIBILITY_TOL``, and ``duals`` are c_B B^-1, so for equality rows
+    they are the usual Lagrange multiplier vector.
     """
     m, n = lp.lhs.shape
 
@@ -149,132 +154,99 @@ def solve(lp: LinearProgram, *, max_iterations: int | None = None) -> LpOutcome:
     if max_iterations is None:
         max_iterations = 20 * (m + total) + 200
 
-    tableau = np.zeros((m + 1, total + 1))
-    tableau[:m, :total] = a_std
-    tableau[:m, total] = b_work
+    columns = a_std.T
     banned = np.zeros(total, dtype=bool)
 
     # Phase 1: minimise the sum of artificial variables.
     if art_cols.size:
         cost1 = np.zeros(total)
         cost1[art_cols] = 1.0
-        _install_cost_row(tableau, basis, cost1)
-        status = _iterate(tableau, basis, banned, max_iterations)
+        status, inverse, prices = _primal(columns, cost1, b_work, basis, max_iterations)
         if status != OPTIMAL:
             # Phase 1 is bounded below by zero, so anything else is numeric.
             return LpOutcome(NUMERICAL_FAILURE)
-        if -tableau[m, total] > FEASIBILITY_TOL:
+        if prices @ b_work > FEASIBILITY_TOL:
             return LpOutcome(INFEASIBLE)
         # Pivot lingering artificials out of the basis where possible;
         # a row that cannot release its artificial is linearly dependent and
         # stays parked at level zero with its column banned.
         banned[art_cols] = True
-        for r in range(m):
-            if basis[r] in art_cols:
-                row = tableau[r, :total]
-                candidates = np.flatnonzero((np.abs(row) > PIVOT_TOL) & ~banned)
-                if candidates.size:
-                    _pivot(tableau, r, int(candidates[0]))
-                    basis[r] = int(candidates[0])
+        for r in np.flatnonzero(basis >= n + n_slack):
+            candidates = np.flatnonzero((np.abs(columns @ inverse[r]) > PIVOT_TOL) & ~banned)
+            if candidates.size:
+                basis[r] = candidates[0]
+                inverse = np.linalg.inv(columns[basis].T)
 
     # Phase 2 with the real objective.
     cost2 = np.zeros(total)
     cost2[:n] = lp.objective
-    _install_cost_row(tableau, basis, cost2)
-    status = _iterate(tableau, basis, banned, max_iterations)
-    if status == UNBOUNDED:
-        return LpOutcome(UNBOUNDED)
+    status = _primal(columns, cost2, b_work, basis, max_iterations, banned=banned)[0]
     if status != OPTIMAL:
-        return LpOutcome(NUMERICAL_FAILURE)
+        return LpOutcome(UNBOUNDED if status == UNBOUNDED else NUMERICAL_FAILURE)
 
+    # B^-1 b and c_B B^-1 of the final basis, by LU solves against its
+    # untouched columns: on an ill-conditioned basis their residuals stay at
+    # rounding, where products with the explicit inverse failed the check
+    # below (thin rotated boxes).
+    final = columns[basis]
     x_std = np.zeros(total)
-    basic_values = tableau[:m, total]
-    # Re-solve the basic system against the untouched constraint matrix:
-    # thousands of dense pivots accumulate drift that a single clean solve
-    # removes.
-    try:
-        refreshed = np.linalg.solve(a_std[:, basis], b_work)
-        if refreshed.min() >= -FEASIBILITY_TOL:
-            basic_values = refreshed
-    except np.linalg.LinAlgError:
-        pass
-    x_std[basis] = np.maximum(basic_values, 0.0)
+    x_std[basis] = np.maximum(np.linalg.solve(final.T, b_work), 0.0)
     solution = x_std[:n]
     value = float(lp.objective @ solution)
 
     if _max_violation(lp.lhs, lp.relations, lp.rhs, solution) > FEASIBILITY_TOL:
         return LpOutcome(NUMERICAL_FAILURE)
 
-    duals = _recover_duals(a_std, basis, cost2, row_sign)
-    return LpOutcome(OPTIMAL, solution=solution, value=value, duals=duals,
-                     basis=basis.copy())
+    return LpOutcome(OPTIMAL, solution=solution, value=value,
+                     duals=row_sign * np.linalg.solve(final, cost2[basis]), basis=basis.copy())
 
 
-def _install_cost_row(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
-    m = tableau.shape[0] - 1
-    tableau[m, :-1] = cost
-    tableau[m, -1] = 0.0
-    for r in range(m):
-        cb = cost[basis[r]]
-        if cb != 0.0:
-            tableau[m] -= cb * tableau[r]
+def _primal(columns: np.ndarray, costs: np.ndarray, rhs: np.ndarray, basis: np.ndarray,
+            max_iterations: int, floor: float = PIVOT_TOL, banned: np.ndarray | None = None
+            ) -> tuple[str, np.ndarray | None, np.ndarray | None]:
+    """Revised primal simplex (Dantzig 1954): min costs.z subject to
+    sum_j z_j columns[j] = rhs, z >= 0, from the feasible ``basis`` (the
+    column basic in each row), which is updated in place.
 
-
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    piv_row = tableau[row] / tableau[row, col]
-    column = tableau[:, col].copy()
-    column[row] = 0.0
-    tableau -= np.outer(column, piv_row)
-    tableau[row] = piv_row
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
-
-
-def _iterate(tableau: np.ndarray, basis: np.ndarray, banned: np.ndarray,
-             max_iterations: int) -> str:
-    m = tableau.shape[0] - 1
-    total = tableau.shape[1] - 1
-    bland = False
-    stall = 0
-    last_objective = -tableau[m, total]
+    Each pivot inverts the basis from the untouched ``columns`` and prices
+    every column in one product.  A column that is neither basic nor
+    ``banned`` enters when its reduced cost is below -max(``floor``,
+    1e-12 |objective|), objective = c_B B^-1 rhs: the relative part keeps
+    the floor above the rounding of large prices, which a thin body's
+    polar vertices reach.  The most negative enters (Dantzig), with the
+    largest pivot among ratio ties, until _STALL_LIMIT pivots in a row bring
+    no gain, then the least index with the least basic index among ties
+    (Bland 1977).  Ratio-test pivots must exceed PIVOT_TOL, and basic values
+    below zero count as zero, so no pivot leaves feasibility.  Returns the
+    status with the final basis's inverse and prices c_B B^-1 (None on a
+    singular basis or at the iteration cap).
+    """
+    bland, stall, last = False, 0, np.inf
     for _ in range(max_iterations):
-        reduced = tableau[m, :total]
-        eligible = (reduced < -PIVOT_TOL) & ~banned
-        if not eligible.any():
-            return OPTIMAL
-        if bland:
-            col = int(np.flatnonzero(eligible)[0])
-        else:
-            masked = np.where(eligible, reduced, np.inf)
-            col = int(np.argmin(masked))
-        column = tableau[:m, col]
-        positive = column > PIVOT_TOL
-        if not positive.any():
-            return UNBOUNDED
-        # Drift can leave right-hand sides slightly negative; reading them as
-        # zero keeps every ratio non-negative, so no pivot leaves feasibility.
-        ratios = np.full(m, np.inf)
-        rhs = np.maximum(tableau[:m, total], 0.0)
-        ratios[positive] = rhs[positive] / column[positive]
-        best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + 1e-12)
-        if bland:
-            # Smallest basis index among ties: required for Bland's rule.
-            row = int(ties[np.argmin(basis[ties])])
-        else:
-            # Largest pivot element among ties: the most stable division.
-            row = int(ties[np.argmax(column[ties])])
-        _pivot(tableau, row, col)
-        basis[row] = col
-        objective = -tableau[m, total]
-        if objective < last_objective - 1e-13:
-            stall = 0
-        else:
-            stall += 1
-            if stall > _STALL_LIMIT:
-                bland = True
-        last_objective = objective
-    return NUMERICAL_FAILURE
+        try:
+            inverse = np.linalg.inv(columns[basis].T)
+        except np.linalg.LinAlgError:
+            return NUMERICAL_FAILURE, None, None
+        prices = costs[basis] @ inverse
+        objective = prices @ rhs
+        stall = 0 if objective < last - 1e-13 else stall + 1
+        bland, last = bland or stall > _STALL_LIMIT, objective
+        reduced = costs - columns @ prices
+        reduced[basis] = 0.0
+        if banned is not None:
+            reduced[banned] = 0.0
+        eligible = reduced < -max(floor, 1e-12 * abs(objective))
+        enter = int(np.argmax(eligible) if bland else np.argmin(reduced))
+        if not eligible[enter]:
+            return OPTIMAL, inverse, prices
+        step = inverse @ columns[enter]
+        rows = np.flatnonzero(step > PIVOT_TOL)
+        if not rows.size:
+            return UNBOUNDED, inverse, prices
+        ratios = np.maximum(inverse[rows] @ rhs, 0.0) / step[rows]
+        ties = rows[ratios <= ratios.min() + 1e-12]
+        basis[ties[np.argmin(basis[ties])] if bland else ties[np.argmax(step[ties])]] = enter
+    return NUMERICAL_FAILURE, None, None
 
 
 def _max_violation(a: np.ndarray, relations: tuple[str, ...], b: np.ndarray,
@@ -289,12 +261,3 @@ def _max_violation(a: np.ndarray, relations: tuple[str, ...], b: np.ndarray,
         else:
             worst = max(worst, abs(ax[i] - b[i]))
     return worst
-
-
-def _recover_duals(a_std: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-                   row_sign: np.ndarray) -> np.ndarray | None:
-    try:
-        y = np.linalg.solve(a_std[:, basis].T, cost[basis])
-    except np.linalg.LinAlgError:
-        return None
-    return row_sign * y

@@ -5,8 +5,9 @@ programming.  Circumradius and inradius share one program in every
 dimension: K lies in x + lambda*C exactly when h_K(u) <= <u, x> +
 lambda h_C(u) for every facet normal u of C, and containment of homothets
 is self-dual, so r(K, C) = 1 / R(C, K).  Kelley's cutting planes solve this
-support-function program on a warm-started simplex master of d + 1 rows,
-and a batched gauge of C supplies the facets its solution violates.  In
+support-function program on a warm-started master of d + 1 rows, the
+revised primal simplex of ``lp_solver`` that the gauge LPs also run, and a
+batched gauge of C supplies the facets its solution violates.  In
 the plane C's facets alone are the cuts, and one master from a facet basis
 C prepares suffices, with no gauge; elsewhere the master starts from the
 facet cones C's gauge evaluator already holds.  The engine keeps the best
@@ -38,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import lp_solver
 from .convex_core import (
     DimensionMismatchError,
     LowerDimensionalError,
@@ -65,8 +67,6 @@ _CENTERED_TOL = 1e-9
 
 # Cut rounds after which the containment engine reports no convergence.
 _MAX_CUT_ROUNDS = 100
-
-_STALL_PIVOTS = 40  # pivots with no gain before the master takes Bland's rule
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,11 +279,11 @@ def _facet_generation(program: str, inner_body: VPolytope,
     The outer body is full-dimensional with the origin interior.  Every
     direction u gives a valid cut of min lambda subject to
     <u, x> + b lambda >= h, with b = h_outer(u) and h = h_inner(u).  Each
-    master is ``_simplex`` on the dual of the cuts so far, d + 1 rows, from
-    the last master's basis, or first from the start cuts e_1..e_d and
-    -1/sqrt(d).  The oracle is the outer body's gauge at v_j - x over the
-    inner body's vertices, and the polar vertices attaining it at violated
-    points are the next cuts.  Its bound max_j gauge(v_j - x) is an upper
+    master is ``_simplex``, the kernel of ``lp_solver`` on the dual of the
+    cuts so far, d + 1 rows, from the last master's basis, or first from
+    the start cuts e_1..e_d and -1/sqrt(d).  The oracle is the outer body's
+    gauge at v_j - x over the inner body's vertices, and the polar vertices
+    attaining it at violated points are the next cuts.  Its bound max_j gauge(v_j - x) is an upper
     bound on lambda, the master's a lower one, and the least so far with its
     centre is the incumbent.  The loop stops when the oracle's bound is
     within 1e-9 max(1, lambda) of the master's, or, right after a master,
@@ -364,35 +364,16 @@ def _facet_generation(program: str, inner_body: VPolytope,
 
 
 def _simplex(points: np.ndarray, gains: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
-    """Revised primal simplex (Dantzig 1954): max gains.z subject to
-    sum_f z_f (p_f, 1) = e_{d+1}, z >= 0, from the feasible ``basis`` of
-    d + 1 cuts, left optimal.  A pivot inverts the basis and prices every
-    cut in one product, by Dantzig's rule (largest pivot among ratio ties)
-    until the objective stalls, then Bland's (least indices).  Returns the
-    prices (x, lambda), lambda >= g_f - <p_f, x> on every cut, or None."""
+    """The master, max gains.z subject to sum_f z_f (p_f, 1) = e_{d+1},
+    z >= 0, by ``lp_solver._primal`` on costs -gains from the feasible
+    ``basis`` of d + 1 cuts, left at its last basis.  Its objective is
+    -lambda, so with a floor of 1e-12 the pricing floor is 1e-12 max(1,
+    lambda).  Returns the prices (x, lambda), lambda >= g_f - <p_f, x> on
+    every cut, or None unless the kernel ends optimal."""
     columns = np.hstack([points, np.ones((gains.size, 1))])
-    bland, stall, last = False, 0, -np.inf
-    for _ in range(20 * gains.size + 200):
-        try:
-            inverse = np.linalg.inv(columns[basis].T)
-        except np.linalg.LinAlgError:
-            return None
-        prices = gains[basis] @ inverse
-        reduced = gains - columns @ prices
-        reduced[basis] = 0.0
-        eligible = reduced > 1e-12 * max(1.0, abs(prices[-1]))
-        enter = int(np.argmax(eligible if bland else reduced))
-        if not eligible[enter]:
-            return prices
-        # ``step`` sums to 1, so some entry is positive: the weights stay bounded.
-        step = inverse @ columns[enter]
-        rows = np.flatnonzero(step > 1e-9)
-        ratios = np.maximum(inverse[rows, -1], 0.0) / step[rows]
-        ties = rows[ratios <= ratios.min() + 1e-12]
-        basis[ties[np.argmin(basis[ties])] if bland else ties[np.argmax(step[ties])]] = enter
-        stall = 0 if prices[-1] > last + 1e-13 else stall + 1
-        bland, last = bland or stall > _STALL_PIVOTS, prices[-1]
-    return None
+    status, _, prices = lp_solver._primal(columns, -gains, np.eye(columns.shape[1])[-1],
+                                          basis, 20 * gains.size + 200, 1e-12)
+    return -prices if status == lp_solver.OPTIMAL else None
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,19 @@ def test_numerical_failures_exit_three(capsys, body_files, monkeypatch, tmp_path
                 "to the gauge body (slack") in err
 
 
+def test_a_master_that_ends_unbounded_exits_three(capsys, body_files, monkeypatch):
+    # The containment master reads only an optimal end of the simplex
+    # kernel: any other status, such as the unbounded verdict of an empty
+    # ratio test, is the engine's numerical failure (exit 3).
+    from polyradii import lp_solver
+
+    monkeypatch.setattr(lp_solver, "_primal", lambda *args: (lp_solver.UNBOUNDED, None, None))
+    code, out, err = run_cli(capsys, "radii", "--body", body_files["square"],
+                             "--gauge", body_files["triangle"], "--quantity", "R")
+    assert code == 3 and out == ""
+    assert "circumradius facet LP (3 x 3) ended with status numerical-failure" in err
+
+
 def test_sliver_gauge_of_full_rank_exits_three(capsys, body_files, tmp_path):
     # A triangle of height 1e-12 keeps its hull, so C - C has full rank:
     # its failed interior certificate is a numerical failure, not bad input.

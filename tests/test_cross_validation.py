@@ -122,7 +122,12 @@ def test_thin_rotated_box_never_gives_an_infinite_diameter_or_zero_width(dim, th
     products, rows = (diffs @ normals.T).reshape(-1, 1), np.tile(offsets, len(diffs))
     want_d = linprog([1.0], A_ub=-rows[:, None], b_ub=-products.ravel(), bounds=[(0, None)]).fun
     # omega(box, cube): twice the largest t with t (C-C) in K-K = 2 box.
-    want_w = -2.0 * linprog([-1.0], A_ub=products, b_ub=2.0 * rows, bounds=[(0, None)]).fun
+    # Each row is divided by its offset, so that no right-hand side is as
+    # small as HiGHS's feasibility tolerance of 1e-7: with offsets of 2e-7
+    # the unscaled rows gave omega 7.8% above its closed form at 4-D 1e-7
+    # and 1e-8, and 2.2 times it at 3-D 1e-8.
+    want_w = -2.0 * linprog([-1.0], A_ub=products / rows[:, None], b_ub=np.full(rows.size, 2.0),
+                            bounds=[(0, None)]).fun
     box = VPolytope(cube * s @ rotation.T)
     for call, want in ((lambda: diameter(VPolytope(cube), box), want_d),
                        (lambda: min_width(box, VPolytope(cube)), want_w)):
@@ -197,6 +202,48 @@ def test_gauge_matches_qhull_facet_form(dim):
         for x in rng.normal(scale=2.5, size=(10, dim)):
             expected = max(0.0, float(np.max((normals @ x) / offsets)))
             assert gauge(body, x).value == pytest.approx(expected, abs=1e-8)
+
+
+def gauge_programs():
+    """(V, x) of gauge LPs min 1'nu subject to V nu = x, nu >= 0 in 3-D to
+    6-D: the difference body of a random body, the cube, the cross-polytope
+    and a random body far off the origin, at x = ±e_k and at random x."""
+    rng = np.random.default_rng(31)
+    for dim in range(3, 7):
+        cube = np.array(list(itertools.product([-1.0, 1.0], repeat=dim)))
+        bodies = (np.unique(pairwise_differences(random_full_dim(rng, dim).vertices), axis=0),
+                  cube, np.vstack([np.eye(dim), -np.eye(dim)]),
+                  random_full_dim(rng, dim).vertices + 4.0)
+        points = np.vstack([np.eye(dim), -np.eye(dim), rng.normal(size=(4, dim))])
+        for v in bodies:
+            for x in points:
+                yield v, x
+
+
+def test_degenerate_gauge_programs_match_highs():
+    # At x = ±e_k most right-hand sides are zero, and a cube's facet holds
+    # 2^(d-1) vertices, so the solver's pivots meet ratio and Dantzig ties.
+    # Whatever optimal basis it ends on, its value must be HiGHS's, its
+    # duals y a polar vertex (v.y <= 1 on every column) attaining the
+    # value at x, and its basic columns must reproduce x.
+    statuses = []
+    for v, x in gauge_programs():
+        dim = v.shape[1]
+        out = lp_solver.solve(lp_solver.LinearProgram(np.ones(len(v)), v.T,
+                                                      (lp_solver.EQUAL,) * dim, x))
+        ref = linprog(np.ones(len(v)), A_eq=v.T, b_eq=x, bounds=(0, None), method="highs")
+        assert ref.status in (0, 2)
+        statuses.append(out.status)
+        assert out.status == (lp_solver.OPTIMAL if ref.status == 0 else lp_solver.INFEASIBLE)
+        if ref.status:
+            continue
+        assert out.value == pytest.approx(ref.fun, rel=1e-12)
+        assert (v @ out.duals).max() <= 1.0 + 1e-9
+        assert out.duals @ x == pytest.approx(out.value, rel=1e-12)
+        basic = out.basis[out.basis < len(v)]
+        assert v[basic].T @ out.solution[basic] == pytest.approx(x, rel=1e-12, abs=1e-12)
+        assert (np.delete(out.solution, basic) == 0.0).all()
+    assert lp_solver.INFEASIBLE in statuses and statuses.count(lp_solver.OPTIMAL) > 120
 
 
 def test_chain_members_match_oracles_in_three_dimensions():
@@ -444,15 +491,16 @@ def planar_master_calls():
 
 @pytest.mark.parametrize("stall", [None, 0])
 def test_master_simplex_matches_highs(monkeypatch, stall):
-    # The engine's simplex solves max g'z with sum z_f (p_f, 1) = e_{d+1},
-    # z >= 0.  Off the plane it starts from the basis of the d + 1 start
-    # cuts; a planar master's cuts are the gauge body's facets, and it starts
-    # from their prepared basis, whose weights must be feasible up to
-    # rounding (a square's antipodal facets make them degenerate).  Its
-    # radius must be HiGHS's optimum, its final basis's weights a feasible
-    # point, and its centre must satisfy every cut.  ``stall`` 0 takes
-    # Bland's rule after the first pivot; the 6-D chain's a3 master is
-    # degenerate, with C centred.
+    # The engine's master, lp_solver's simplex kernel on costs -g, solves
+    # max g'z with sum z_f (p_f, 1) = e_{d+1}, z >= 0.  Off the plane it
+    # starts from the basis of the d + 1 start cuts; a planar master's cuts
+    # are the gauge body's facets, and it starts from their prepared basis,
+    # whose weights must be feasible up to rounding (a square's antipodal
+    # facets make them degenerate).  Its radius must be HiGHS's optimum, its
+    # final basis's weights a feasible point, and its centre must satisfy
+    # every cut.  ``stall`` 0 takes Bland's rule after the first pivot that
+    # brings no gain; the 6-D chain's a3 master is degenerate, with C
+    # centred.
     square, triangle = make_body(BodySpec("centered_square")), make_body(
         BodySpec("equilateral_triangle"))
     calls = [lambda: circumradius(square, triangle), lambda: inradius(square, triangle)]
@@ -468,7 +516,7 @@ def test_master_simplex_matches_highs(monkeypatch, stall):
     planar = engine_masters(monkeypatch, *planar_master_calls())
     assert len(planar) == 56 and all(points.shape[1] == 2 for points, _, _ in planar)
     if stall is not None:
-        monkeypatch.setattr(radii, "_STALL_PIVOTS", stall)
+        monkeypatch.setattr(lp_solver, "_STALL_LIMIT", stall)
     for points, gains, basis in [*masters, *planar, *random_masters()]:
         columns = np.c_[points, np.ones(gains.size)]
         target = np.eye(columns.shape[1])[-1]

@@ -397,8 +397,11 @@ def test_a_fork_keeps_what_it_learns_to_itself():
     # Walking a fork of a body's certificate caches new facets in the fork
     # alone: the certificate's facet arrays stay as they were, so a second
     # fork starts where the first did and gives the same bits.  A flat
-    # body's fork forks its inner evaluator too.
+    # body's fork forks its inner evaluator too.  A planar body's polar
+    # vertices learn nothing, so its certificate is its own fork.
     rng = np.random.default_rng(17)
+    planar = convex_core._certified(difference_hull(VPolytope(rng.normal(size=(9, 2)))))[0]
+    assert planar.polar_vertices is not None and planar.fork() is planar
     plane = np.linalg.qr(rng.normal(size=(4, 4)))[0][:, :3]
     for body in (difference_hull(VPolytope(rng.normal(size=(10, 3)))),
                  VPolytope(rng.normal(size=(12, 3)) @ plane.T)):
@@ -408,6 +411,7 @@ def test_a_fork_keeps_what_it_learns_to_itself():
         arrays = walker.bases, walker.inverses, walker.normals
         points = rng.normal(size=(200, 3)) @ (np.eye(3) if certified.span is None else plane.T)
         first = certified.fork()
+        assert first is not certified
         values, normals = first.with_normals(points)
         learned = first if first.span is None else first.inner
         assert learned.bases.shape[0] > bases.shape[0] and learned is not walker

@@ -6,14 +6,21 @@ equality case of Bohnenblust's bound (1938); and every pair has
 2r <= omega <= D <= 2R.  The expected values are closed forms and the maps
 are drawn here, so the checks share no numerics with the library, at sizes
 where its gauges walk over many waves and cache hundreds of facet cones.
+At two such sizes D, omega and R also meet closed forms on Qhull's facets.
 """
 
 import numpy as np
 import pytest
 
 from polyradii.convex_core import VPolytope, difference_hull
-from polyradii.radii import circumradius, diameter, inradius, min_width
-from test_cross_validation import qhull_facets, random_full_dim, rotated_segments
+from polyradii.radii import _tie_floor, circumradius, diameter, inradius, min_width
+from test_cross_validation import (
+    oracle_circumradius,
+    pairwise_differences,
+    qhull_facets,
+    random_full_dim,
+    rotated_segments,
+)
 
 # Vertices of the random body per dimension, and a common scaling of it
 # near 1e8 or 1e-8 that is not a power of two.
@@ -87,3 +94,34 @@ def test_every_pair_orders_its_sizes():
         normals, offsets = qhull_facets(c.vertices)
         reach = (normals @ (k.vertices - big_r.center).T).max(axis=1)
         assert (reach <= big_r.value * offsets + scale * np.abs(offsets)).all()
+
+
+def facet_gauges(points, normals, offsets):
+    """max_f a_f.w / b_f of each row w, over the Qhull facets a.y <= b."""
+    return np.concatenate([(block @ normals.T / offsets).max(axis=1)
+                           for block in np.array_split(points, -(-len(points) // 500))])
+
+
+@pytest.mark.parametrize("dim, size", [(3, 60), (4, 50)])
+def test_sizes_at_scale_meet_qhull_closed_forms(dim, size):
+    # Qhull's facets give three sizes with no LP of the library: D is the
+    # largest facet gauge of (C-C)/2 over K's vertex pairs, omega is 2 / the
+    # largest facet gauge of K-K over the vertices of C-C, and R is linprog
+    # on C's facets in d + 1 variables.  At these sizes the library's
+    # gauges walk in hundreds of waves, its evaluators cache hundreds of
+    # facet cones seeded by an LP basis, and its masters start from them.
+    rng = np.random.default_rng(3)
+    k, c = rng.normal(size=(size, dim)), rng.normal(size=(size, dim))
+    body, gauge_body = VPolytope(k), VPolytope(c - c.mean(axis=0))
+    half = qhull_facets(0.5 * pairwise_differences(gauge_body.vertices))
+    rows, later = np.triu_indices(size, 1)
+    top = facet_gauges(k[later] - k[rows], *half).max()
+    d = diameter(body, gauge_body)
+    assert d.value == pytest.approx(top, rel=1e-9)
+    i, j = d.pair
+    assert facet_gauges(k[j] - k[i:i + 1], *half)[0] >= _tie_floor(top)
+    differences = qhull_facets(pairwise_differences(k))
+    width = 2.0 / facet_gauges(pairwise_differences(gauge_body.vertices), *differences).max()
+    assert min_width(body, gauge_body).value == pytest.approx(width, rel=1e-9)
+    assert circumradius(body, gauge_body).value == pytest.approx(
+        oracle_circumradius(body, gauge_body), rel=1e-9)

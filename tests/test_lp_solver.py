@@ -251,3 +251,28 @@ def test_basis_reproduces_the_right_hand_side():
     infeasible = solve(make_lp([1.0], [([1.0], LESS_EQUAL, -1.0)]))
     assert infeasible.status == INFEASIBLE
     assert infeasible.basis is None
+
+
+def test_kernel_is_unbounded_when_no_step_entry_exceeds_the_pivot_floor():
+    # min -z_2 subject to z_0 + a z_2 = 1, z_1 + b z_2 = 1 from the basis
+    # (0, 1): column 2 prices in, and its step B^-1 a_2 = (a, b) has no
+    # entry above PIVOT_TOL, so the ratio test is empty and the basis stays.
+    for step in ([-1.0, 0.0], [0.5 * lp_solver.PIVOT_TOL, -2.0], [0.0, 0.0]):
+        columns = np.array([[1.0, 0.0], [0.0, 1.0], step])
+        basis = np.array([0, 1])
+        status, _, prices = lp_solver._primal(columns, np.array([0.0, 0.0, -1.0]),
+                                              np.ones(2), basis, 10)
+        assert status == UNBOUNDED and basis.tolist() == [0, 1]
+        assert prices.tolist() == [0.0, 0.0]
+
+
+def test_a_program_without_rows_is_its_bounds_alone():
+    # Only x >= 0 constrains it: the origin is optimal for non-negative
+    # costs, and a negative cost is unbounded.
+    def no_rows(c):
+        return LinearProgram(np.array(c), np.zeros((0, 2)), (), np.zeros(0))
+
+    out = solve(no_rows([1.0, 2.0]))
+    assert out.status == OPTIMAL and out.value == 0.0
+    assert out.solution.tolist() == [0.0, 0.0] and out.basis.size == out.duals.size == 0
+    assert solve(no_rows([-1.0, 0.0])).status == UNBOUNDED

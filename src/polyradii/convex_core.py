@@ -391,7 +391,8 @@ class _Sectors:
     are evaluated, so a sector misplaced by rounding still yields the
     maximum of computed products.  An exact tie among them goes to the
     lowest index, as in ``argmax``.  Time O((n + q) log n) and memory
-    O(n + q) for n sectors and q points.
+    O(n + q) for n sectors and q points.  The supports of a linear image
+    K M are those of K at M u, so an image needs no sectors of its own.
     """
 
     def __init__(self, starts: np.ndarray, rows: np.ndarray):
@@ -404,23 +405,12 @@ class _Sectors:
         # consecutive entries.
         self.index = np.arange(first - 2, first + starts.size + 2) % starts.size
         self.x, self.y = rows[self.index].T.copy()
-        self.scales = np.ones(2)  # a point is searched as scales * point
-
-    def mapped(self, shift: np.ndarray, scales: np.ndarray, a: float) -> "_Sectors":
-        """The sectors of the rows a (row - shift) * scales, for a > 0 and
-        positive scales: u . (a (row - shift) * scales) is largest where
-        (scales * u) . row is, so the point is searched as scales * u."""
-        out = copy.copy(self)
-        out.x = a * ((self.x - shift[0]) * scales[0])
-        out.y = a * ((self.y - shift[1]) * scales[1])
-        out.scales = self.scales * scales
-        return out
 
     def _near(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The three entries evaluated for each point, and their products."""
         # Angles in [-pi, pi]; one below the least start lies in the last
         # sector, the one that crosses the cut at pi.
-        angles = np.arctan2(points[:, 1] * self.scales[1], points[:, 0] * self.scales[0])
+        angles = np.arctan2(points[:, 1], points[:, 0])
         near = np.searchsorted(self.starts, angles, side="right")[:, None] + np.arange(3)
         return near, self.x[near] * points[:, :1] + self.y[near] * points[:, 1:]
 

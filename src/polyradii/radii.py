@@ -10,7 +10,8 @@ revised primal simplex of ``lp_solver`` that the gauge LPs also run, and a
 batched gauge of C supplies the facets its solution violates.  In
 the plane C's facets alone are the cuts, and one master from a facet basis
 C prepares suffices, with no gauge; elsewhere the master starts from the
-facet cones C's gauge evaluator already holds.  The engine keeps the best
+facet cones C's gauge evaluator already holds, each once.  K's supports
+are read through the linear map of C's frame.  The engine keeps the best
 centre its gauge has bounded, and stops as soon as a master's lambda
 meets that bound; a flat C is restricted to its affine hull first.  Gauges
 are read off the facets in the plane and off the facet cones their LPs
@@ -22,7 +23,8 @@ sup_{i,j} gauge(v_j - v_i) = max_f (h_K(p_f) + h_K(-p_f)); off the plane
 its pairs are one batched gauge, and the chain's pair-gauge member is one
 gauge of C at the vertices of K-K.
 The polar vertex attaining the diameter certifies the chain's support-ratio
-member in every dimension, with no sampled directions.
+member in every dimension, with no sampled directions; that member reads
+h_K(u) + h_K(-u) and h_C(u) + h_C(-u), not the supports of K-K and C-C.
 Minimum width inscribes C-C in K-K, and an interior point is the centre of
 the largest cross-polytope inside the body: both are read off the same
 gauges and engine.
@@ -52,7 +54,6 @@ from .convex_core import (
     _extent,
     _interior_margin,
     _power_of_two_scale,
-    _support_sectors,
     difference_hull,
 )
 from .functionals import (
@@ -238,31 +239,29 @@ def _containment(program: str, k: VPolytope, c: VPolytope,
 
     C is put in its ``_frame``, which the caller may pass when it has one,
     and K is translated to its vertex centroid: a K that leaves C's affine
-    hull has no finite R, and lambda is inf.  K is scaled like C, and by one
-    more power of two, so lambda is near 1 for long thin bodies too; the
-    radius does not see these maps.
+    hull has no finite R, and lambda is inf.  K is mapped by the frame's one
+    linear map M = a hull diag(scales), one more power of two a bringing it
+    near 1, so lambda is near 1 for long thin bodies too, and its supports
+    are read through M off K recentred: h_{KM}(u) = h_K(M u).
     """
     if frame is None:
         frame = _frame(c)
-    inner_shift, inner, hull = k._centroid(), _recentred(k).vertices, frame.hull
-    flat = hull.shape[1] < k.dim  # else hull is the identity, and its products no-ops
-    if flat and np.abs(inner - inner @ hull @ hull.T).max() > 1e-12 * max(
-            frame.extent, np.abs(inner).max()):
-        return np.inf, inner_shift
-    inner = (inner @ hull if flat else inner) * frame.scales
+    shift, centred, hull = k._centroid(), _recentred(k), frame.hull
+    vertices = centred.vertices
+    if hull.shape[1] < k.dim and np.abs(vertices - vertices @ hull @ hull.T).max() > 1e-12 * max(
+            frame.extent, np.abs(vertices).max()):
+        return np.inf, shift
+    # A full frame's hull is the identity, whose products are exact.
+    inner = vertices @ hull * frame.scales
     # R(aK, C) = a R(K, C) with centre a x.
     a = _power_of_two_scale(float(np.abs(inner).max(initial=0.0)))
     lam, x = 0.0, np.zeros(0)
     if hull.shape[1]:
-        inner_body = VPolytope(a * inner)
-        if hull.shape[1] == 2:
-            # The full planar frame is the identity: the inner body is K
-            # translated and scaled, and reads its supports off K's sectors.
-            inner_body._prepared("support sectors", lambda: _support_sectors(k).mapped(
-                inner_shift, frame.scales, a))
-        lam, x = _facet_generation(program, inner_body, frame.evaluate)
-    lam, x = lam / a, x / a / frame.scales
-    return lam, inner_shift + (hull @ x if flat else x) - lam * frame.shift
+        lam, x = _facet_generation(
+            program, a * inner,
+            lambda u: a * support_values(centred, (u * frame.scales) @ hull.T), frame.evaluate)
+    lam = lam / a
+    return lam, shift + hull @ (x / a / frame.scales) - lam * frame.shift
 
 
 def _require_finite(values: np.ndarray, program: str) -> None:
@@ -272,17 +271,17 @@ def _require_finite(values: np.ndarray, program: str) -> None:
                            f"{np.count_nonzero(np.isinf(values))} of {values.size} points")
 
 
-def _facet_generation(program: str, inner_body: VPolytope,
+def _facet_generation(program: str, inner: np.ndarray, supports_of,
                       evaluate: _GaugeEvaluator) -> tuple[float, np.ndarray]:
     """Kelley's cutting planes on the support-function containment program.
 
     The outer body is full-dimensional with the origin interior.  Every
     direction u gives a valid cut of min lambda subject to
-    <u, x> + b lambda >= h, with b = h_outer(u) and h = h_inner(u).  Each
-    master is ``_simplex``, the kernel of ``lp_solver`` on the dual of the
+    <u, x> + b lambda >= h, with b = h_outer(u) and h = h_inner(u) from
+    ``supports_of``.  Each master is ``_simplex``, the kernel of ``lp_solver`` on the dual of the
     cuts so far, d + 1 rows, from the last master's basis, or first from
     the start cuts e_1..e_d and -1/sqrt(d).  The oracle is the outer body's
-    gauge at v_j - x over the inner body's vertices, and the polar vertices
+    gauge at v_j - x over the inner vertices ``inner``, and the polar vertices
     attaining it at violated points are the next cuts.  Its bound max_j gauge(v_j - x) is an upper
     bound on lambda, the master's a lower one, and the least so far with its
     centre is the incumbent.  The loop stops when the oracle's bound is
@@ -293,14 +292,13 @@ def _facet_generation(program: str, inner_body: VPolytope,
     normal turns less than pi from facet 0's: their polar vertices hold the
     origin (on an edge at a gap of pi).  The cuts' bound max_f (h_f -
     <u_f, x>) / b_f is the oracle's, so one master ends the loop.  Off
-    the plane the cuts also start from every facet cone ``evaluate`` holds,
-    its polar vertices y_f scaled to unit length, and the first oracle is
+    the plane the cuts also start from the facet cones ``evaluate`` holds,
+    their polar vertices y_f scaled to unit length, each once, and the first oracle is
     taken at the inner centroid, before any master: for two centred bodies
     it attains R, and the first master meets it.  The outer body is
-    ``evaluate.body``; a planar inner body may carry the support sectors of
-    the body it was mapped from.  ``program`` names the quantity in errors.
+    ``evaluate.body``.  ``program`` names the quantity in errors.
     """
-    d, outer_body, inner = evaluate.dim, evaluate.body, inner_body.vertices
+    d, outer_body = evaluate.dim, evaluate.body
     planar = evaluate.facets is not None
     if planar:
         normals, offsets = evaluate.facets.normals, evaluate.facets.offsets
@@ -309,10 +307,16 @@ def _facet_generation(program: str, inner_body: VPolytope,
         basis = np.array([0, b, b + 1])
     else:
         start = np.vstack([np.eye(d), np.full((1, d), -d ** -0.5)])
-        normals = np.vstack([start, evaluate.normals / np.linalg.norm(evaluate.normals,
-                                                                      axis=1)[:, None]])
+        cones = evaluate.normals / np.linalg.norm(evaluate.normals, axis=1)[:, None]
+        # Cones of one non-simplicial facet share its polar vertex, and such
+        # twin cuts make the master singular: drop each cone within 1e-9 of
+        # an earlier one next to it in lexicographic order.
+        order = np.lexsort(cones.T)
+        twins = np.abs(np.diff(cones[order], axis=0)).max(axis=1) <= 1e-9
+        cones = np.delete(cones, np.maximum(order[:-1], order[1:])[twins], axis=0)
+        normals = np.vstack([start, cones])
         offsets, basis = support_values(outer_body, normals), np.arange(d + 1)
-    supports = support_values(inner_body, normals)
+    supports = supports_of(normals)
     lam, x, gap = 0.0, np.zeros(d), np.inf
     upper, centre = np.inf, x  # the incumbent: the least oracle bound and its centre
     for rounds in range(_MAX_CUT_ROUNDS):
@@ -357,7 +361,7 @@ def _facet_generation(program: str, inner_body: VPolytope,
                                f"constraint by {gap:.3e}")
         fresh = normals[known:]
         offsets = np.concatenate([offsets, support_values(outer_body, fresh)])
-        supports = np.concatenate([supports, support_values(inner_body, fresh)])
+        supports = np.concatenate([supports, supports_of(fresh)])
     raise RuntimeError(f"{program} facet generation did not converge in "
                        f"{_MAX_CUT_ROUNDS} rounds (d={d}, {offsets.size} cuts, "
                        f"last oracle-master gap {gap:.3e})")
@@ -595,7 +599,8 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     Also checks the chord-ratio representation of the diameter and the
     classical bound D <= 2R.  a1 is the largest support ratio over the
     vertex directions of C-C and the polar vertex y* of (C-C)/2 that
-    certifies D.  No direction exceeds D and y* attains it, so a1 = a2
+    certifies D, each h_{K-K}(u) = h_K(u) + h_K(-u) read on the recentred
+    K and C.  No direction exceeds D and y* attains it, so a1 = a2
     checks D's certificate in every dimension.  a5 is the largest gauge of
     C at the vertices of K-K.  ``tol`` must be finite and positive.
     """
@@ -612,7 +617,10 @@ def _verify_chain(k: VPolytope, c: VPolytope, tol: float, known: dict) -> ChainR
     a2, _, y_star = known.get("D") or _diameter(k, half)
     directions = _unit_rows(b.vertices)
     sweep = directions if y_star is None else np.vstack([y_star, directions])
-    a1 = 2.0 * float(np.max(support_values(a, sweep) / support_values(b, sweep)))
+    # h_{K-K}(u) = h_K(u) + h_K(-u), recentred so that no offset cancels.
+    both = np.vstack([sweep, -sweep])
+    widths = [support_values(_recentred(p), both).reshape(2, -1).sum(axis=0) for p in (k, c)]
+    a1 = 2.0 * float(np.max(widths[0] / widths[1]))
     # a3 frames (C-C)/2 about its exact centre, the origin, so the frame takes
     # half's evaluator when no axis is scaled.  a4 and 2R share C's frame, at
     # its centroid (a given origin may lie near C's boundary), which takes the

@@ -12,7 +12,7 @@ import polyradii
 from polyradii.bodies import BodySpec, make_body
 from polyradii.cli import run
 from polyradii.convex_core import loads_vpolytope
-from polyradii.radii import radii_report
+from polyradii.radii import circumradius, radii_report
 
 SQRT3 = math.sqrt(3.0)
 
@@ -286,6 +286,23 @@ def test_sliver_gauge_of_full_rank_exits_three(capsys, body_files, tmp_path):
                                  "--gauge", str(sliver))
         assert code == 3 and out == ""
         assert "numerical failure" in err and "full rank" in err
+
+
+def test_radii_of_a_flat_pair_in_space(capsys, tmp_path):
+    # A triangle and a square embedded in 3-D by one orthonormal 2-frame and
+    # a common offset: the gauge's frame is flat of rank 2, and R is planar.
+    frame = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 2)))[0]
+    offset = np.array([3.0, -2.0, 5.0])
+    for name, kind in (("k", "centered_square"), ("c", "equilateral_triangle")):
+        vertices = make_body(BodySpec(kind)).vertices @ frame.T + offset
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({"dim": 3, "vertices": vertices.tolist()}))
+    code, out, err = run_cli(capsys, "radii", "--body", str(tmp_path / "k.json"),
+                             "--gauge", str(tmp_path / "c.json"), "--quantity", "R")
+    assert code == 0, err
+    want = circumradius(make_body(BodySpec("centered_square")),
+                        make_body(BodySpec("equilateral_triangle"))).value
+    assert json.loads(out)["R"]["value"] == pytest.approx(want, rel=1e-8)
 
 
 def test_output_uses_nine_significant_digits(capsys, body_files):

@@ -415,14 +415,16 @@ def test_planar_support_values_match_the_dense_product():
         scale = np.abs(body.vertices).max() * np.abs(queries).sum(axis=1)
         np.testing.assert_array_less(np.abs(support_values(body, queries) - dense),
                                      4 * EPS * scale + 1e-300)
-        # The sectors of the body translated and scaled by positive powers
-        # of two, as the containment engine maps its inner body.
+        # The supports of the body translated and scaled by positive powers
+        # of two, read through that map off the translated body, as the
+        # containment engine reads its inner body: h_{KM}(u) = h_K(M u).
         shift, scales, a = body.vertices.mean(axis=0), 2.0 ** rng.integers(-3, 4, size=2), 0.25
-        mapped = a * ((body.vertices - shift) * scales)
+        centred = VPolytope(body.vertices - shift)
+        mapped = a * (centred.vertices * scales)
         dense = np.max(queries @ mapped.T, axis=1)
         scale = np.abs(mapped).max() * np.abs(queries).sum(axis=1)
         np.testing.assert_array_less(
-            np.abs(core._support_sectors(body).mapped(shift, scales, a).values(queries) - dense),
+            np.abs(a * support_values(centred, queries * scales) - dense),
             4 * EPS * scale + 1e-300)
 
 

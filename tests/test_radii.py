@@ -254,8 +254,9 @@ def test_planar_master_has_the_facets_as_cuts_and_prices_no_start_cut(monkeypatc
                         real_support(k, u))
     monkeypatch.setattr(radii, "_simplex", lambda points, gains, basis: masters.append(
         points.shape) or real_simplex(points, gains, basis))
-    monkeypatch.setattr(radii, "_facet_generation", lambda program, inner, evaluate: outer.append(
-        evaluate.body) or generate(program, inner, evaluate))
+    monkeypatch.setattr(radii, "_facet_generation", lambda program, inner, supports_of, evaluate:
+                        outer.append(evaluate.body) or generate(program, inner, supports_of,
+                                                                evaluate))
     for n in (24, 96):
         c = make_body(BodySpec("reuleaux_triangle", n=n))
         for k, gauge_body in ((SQUARE, TRIANGLE), (VPolytope(-c.vertices), c)):
@@ -263,6 +264,24 @@ def test_planar_master_has_the_facets_as_cuts_and_prices_no_start_cut(monkeypatc
             circumradius(k, gauge_body)
             assert len(outer) == 1 and not any(body is outer[0] for body in supports)
             assert masters == [(len(facets_2d(gauge_body).offsets), 2)]
+
+
+@pytest.mark.parametrize("seed", [105, 107])
+@pytest.mark.parametrize("dim", [3, 4])
+def test_cube_in_a_thin_rotated_box_takes_each_facet_cut_once(seed, dim):
+    # A box 1e-5 thin has square faces that its gauge caches as several
+    # cones with one polar vertex, up to rounding.  Each enters the master
+    # once: twin cuts priced near 1e5 made its basis singular.  The gauge of
+    # the box Q diag(s) [-1, 1]^d is max_k |q_k . y| / s_k, so over the cube
+    # R(cube, box) = max_k |q_k|_1 / s_k, at the centre 0.
+    t = 1e-5
+    rotation = np.linalg.qr(np.random.default_rng(seed).normal(size=(dim, dim)))[0]
+    cube = make_body(BodySpec("cube", dim=dim))
+    box = VPolytope(cube.vertices * np.r_[np.ones(dim - 1), t] @ rotation.T)
+    l1 = np.abs(rotation).sum(axis=0)
+    want = max(l1[-1] / t, l1[:-1].max())
+    assert circumradius(cube, box).value == pytest.approx(want, rel=1e-9)
+    assert inradius(box, cube).value == pytest.approx(1.0 / want, rel=1e-9)
 
 
 def test_radii_report_computes_the_diameter_once_and_four_containments(monkeypatch):
@@ -293,9 +312,9 @@ def _engine_work(monkeypatch):
     simplex, generate = radii._simplex, radii._facet_generation
     monkeypatch.setattr(radii, "_simplex", lambda *args: masters.append(1) or simplex(*args))
 
-    def recorded(program, inner_body, evaluate):
+    def recorded(program, inner, supports_of, evaluate):
         before = len(masters)
-        out = generate(program, inner_body, evaluate)
+        out = generate(program, inner, supports_of, evaluate)
         work.append((len(masters) - before, evaluate.waves))
         return out
 
@@ -883,10 +902,11 @@ def test_fine_reuleaux_sizes_reach_the_closed_forms():
         assert abs(value - _REULEAUX_REFERENCES[quantity]) <= 1e-12, quantity
 
 
-def test_planar_containment_maps_the_sectors_of_the_inner_body(monkeypatch):
-    # The engine's inner body is the body translated and scaled by positive
-    # powers of two, so it reads its supports off the body's own sectors:
-    # once the bodies are prepared, R and r hull nothing and build no sectors.
+def test_planar_containment_reads_the_sectors_of_the_recentred_body(monkeypatch):
+    # The engine maps the inner body by its frame's linear map, so it reads
+    # the mapped supports off the sectors of the body's prepared recentred
+    # copy: once the bodies are prepared, R and r hull nothing and build no
+    # sectors.
     c = make_body(BodySpec("reuleaux_triangle", n=24))
     k = transform(c, 0.5, [3.0, -1.0], reflect=True)
     first = circumradius(k, c), inradius(k, c)
@@ -898,6 +918,23 @@ def test_planar_containment_maps_the_sectors_of_the_inner_body(monkeypatch):
     assert built == []
     for one, other in zip(first, again):
         assert one.value == other.value and (one.center == other.center).all()
+
+
+def test_flat_polygons_in_space_keep_their_planar_radii():
+    # A polygon pair embedded in 3-D to 5-D by one orthonormal 2-frame and a
+    # common offset has a flat rank-2 frame: the engine maps K into it and
+    # reads K's supports through that map, as for a full frame, so R and r
+    # are the planar values.
+    for dim in (3, 4, 5):
+        rng = np.random.default_rng(200 + dim)
+        for _ in range(3):
+            k, c = rng.normal(size=(7, 2)), rng.normal(size=(6, 2))
+            frame = np.linalg.qr(rng.normal(size=(dim, 2)))[0]
+            offset = 10.0 * rng.normal(size=dim)
+            embedded = VPolytope(k @ frame.T + offset), VPolytope(c @ frame.T + offset)
+            for size in (circumradius, inradius):
+                want = size(VPolytope(k), VPolytope(c)).value
+                assert size(*embedded).value == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_planar_sizes_see_a_vertex_of_slight_turn():
@@ -987,6 +1024,18 @@ def test_chain_recenteres_badly_placed_gauges():
     assert report.a2 == pytest.approx(DIAMETER_REF, abs=1e-6)
     assert report.a4 == pytest.approx(CIRCUM_DIFF_REF, abs=1e-6)
     assert report.ok
+
+
+@pytest.mark.parametrize("offset", [1e4, 1e7, 1e10])
+def test_chain_a1_reads_the_supports_of_the_recentred_bodies(offset):
+    # a1 sums h_K(u) + h_K(-u) and h_C(u) + h_C(-u), which cancel the offset
+    # of a translated body: read on K and C as given, a1 left a2 by 2e-10 at
+    # 1e7 and 2e-7 at 1e10.  On the recentred bodies it stays at rounding.
+    for sk, sc in ((1.0, -1.0), (-1.0, 1.0), (1.0, 1.0)):
+        k = transform(SQUARE, 1.0, [sk * offset, sk * offset])
+        c = transform(TRIANGLE, 1.0, [sc * offset, -sc * offset])
+        report = verify_chain(k, c)
+        assert report.a1 == pytest.approx(report.a2, rel=1e-15, abs=0.0)
 
 
 def test_chain_reports_are_deterministic():
@@ -1255,16 +1304,19 @@ def test_spatial_chain_walks_between_facets_instead_of_solving_lps(monkeypatch):
 def test_spatial_chain_stays_within_its_memory_bound():
     # Every gauge batch walks in waves of at most _WAVE_CELLS cells per
     # product, so no product spans points x facets x d (over 30 MB here).
-    rng = np.random.default_rng(3)
-    k = VPolytope(rng.normal(size=(30, 4)))
-    c = rng.normal(size=(30, 4))
-    tracemalloc.start()
-    try:
-        assert verify_chain(k, VPolytope(c - c.mean(axis=0))).ok
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12e6
+    # a1 reads the supports of K and C, not of K-K and C-C, whose product at
+    # 3-D 40/40 (1 561 differences each) alone is 19 MB.
+    for dim, n in ((4, 30), (3, 40)):
+        rng = np.random.default_rng(3)
+        k = VPolytope(rng.normal(size=(n, dim)))
+        c = rng.normal(size=(n, dim))
+        tracemalloc.start()
+        try:
+            assert verify_chain(k, VPolytope(c - c.mean(axis=0))).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6, (dim, n, peak)
 
 
 def _recorded_evaluators(monkeypatch):

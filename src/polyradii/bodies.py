@@ -110,19 +110,10 @@ def make_body(spec: BodySpec) -> VPolytope:
 def _reuleaux_points(n: int) -> np.ndarray:
     radius = 2.0 * SQRT3
     arcs = []
-    for corner, (start, stop) in zip(TRIANGLE_CORNERS, _ARC_RANGES):
+    for i, (corner, (start, stop)) in enumerate(zip(TRIANGLE_CORNERS, _ARC_RANGES)):
         theta = np.radians(np.linspace(start, stop, n + 1))
         pts = corner + radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        # Arc endpoints are the two opposite corners; pin them exactly.
-        pts[0] = _corner_at_angle(corner, start)
-        pts[-1] = _corner_at_angle(corner, stop)
+        # Arc i runs from corner i + 1 to corner i + 2; pin them exactly.
+        pts[0], pts[-1] = TRIANGLE_CORNERS[(i + 1) % 3], TRIANGLE_CORNERS[(i + 2) % 3]
         arcs.append(pts)
     return np.vstack(arcs)
-
-
-def _corner_at_angle(center: np.ndarray, angle_deg: float) -> np.ndarray:
-    target = center + 2.0 * SQRT3 * np.array(
-        [math.cos(math.radians(angle_deg)), math.sin(math.radians(angle_deg))]
-    )
-    deltas = np.linalg.norm(TRIANGLE_CORNERS - target, axis=1)
-    return TRIANGLE_CORNERS[int(np.argmin(deltas))].copy()

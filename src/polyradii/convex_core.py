@@ -16,8 +16,9 @@ a planar body's polar vertices when the origin is interior, read from the
 facet cone that an angular search finds for each point (``_Sectors``,
 which give planar supports too), else dual simplex walks in waves, each
 from the best cached facet cone and done at once where that cone holds its
-point.  Calls fork the evaluator of the body's interior certificate
-(``_certified``), its slack: in the plane the facet closed form
+point.  Each public call forks the evaluator of a body's interior
+certificate (``_certified``) once, in its table of forks (``_fork``).  The
+certificate's slack is, in the plane, the facet closed form
 min_f b_f / |n_f|_inf, or -1 if some offset b_f is <= 0.
 """
 
@@ -80,7 +81,8 @@ class VPolytope:
     recentred bodies, the centroid, the planar master's start basis, the
     interior certificate) is cached on first use by
     ``_prepared`` for the body's lifetime, never in ``repr``, ``to_dict``,
-    equality or pickles.  Each call forks the certificate's gauge evaluator.
+    equality or pickles.  Each call forks the certificate's gauge evaluator
+    once (``_fork``).
     """
 
     vertices: np.ndarray
@@ -769,6 +771,15 @@ def _certified(p: VPolytope) -> tuple[_GaugeEvaluator, float]:
         return evaluate, evaluate.slack()
 
     return p._prepared("certificate", build)
+
+
+def _fork(p: VPolytope, forks: dict) -> _GaugeEvaluator:
+    """The fork of p's certificate in a call's table ``forks``, forked on
+    first use: computations of one call share an evaluator exactly when
+    they read the same body."""
+    if p not in forks:
+        forks[p] = _certified(p)[0].fork()
+    return forks[p]
 
 
 def interior_slack(p: VPolytope, point) -> float:

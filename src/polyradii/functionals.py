@@ -6,9 +6,10 @@ for the direction, and gauges come from convex_core's ``_GaugeEvaluator``,
 which reads them off the polar vertex of the facet cone that the same
 search finds in the plane and off the facet cones its gauge LP and walks
 have met elsewhere, and can return the polar vertex attaining each value
-(the containment engine's cuts).  Every evaluator of a body, a GaugeBody's
-included, forks the one that certified its origin, prepared once, so it
-starts from those cones.  Radius and chord lengths are reciprocal gauges.
+(the containment engine's cuts).  Every call forks the evaluator that
+certified a body's origin, prepared once, so it starts from those cones
+and gives the same bits in any call order, through a reused GaugeBody too.
+Radius and chord lengths are reciprocal gauges.
 A gauge is always evaluated on the body exactly as given; it is an error if
 the origin is not interior, because the Minkowski functional is translation
 sensitive and silent recentering would change its values.
@@ -17,7 +18,6 @@ sensitive and silent recentering would change its values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -26,9 +26,9 @@ from .convex_core import (
     EPS_GEOMETRY,
     HPolytope,
     VPolytope,
-    _GaugeEvaluator,
     _as_vector,
     _certified,
+    _fork,
     _interior_margin,
     _support_sectors,
     difference_hull,
@@ -49,8 +49,9 @@ class FunctionalValue:
 
 @dataclass(frozen=True, eq=False)
 class GaugeBody:
-    """A polytope whose prepared slack certifies the origin interior.  Its one
-    gauge evaluator, forked from the certificate's on first use, keeps the cones it meets."""
+    """A polytope whose prepared slack certifies the origin interior.  Each
+    call forks the certificate's evaluator afresh, so no call sees what
+    another has learned."""
 
     body: VPolytope
 
@@ -67,10 +68,6 @@ class GaugeBody:
     @property
     def dim(self) -> int:
         return self.body.dim
-
-    @cached_property
-    def _evaluate(self) -> _GaugeEvaluator:
-        return _certified(self.body)[0].fork()
 
 
 def support(k: VPolytope, u) -> FunctionalValue:
@@ -105,7 +102,7 @@ def gauge(c: GaugeBody, x) -> FunctionalValue:
     The witness is the boundary point where the ray through x leaves the body.
     """
     point = _as_vector(x, c.dim)
-    value = float(c._evaluate(point)[0])
+    value = float(_fork(c.body, {})(point)[0])
     if not np.isfinite(value):
         raise RuntimeError("gauge LP failed with status infeasible")
     witness = point / value if value > EPS_GEOMETRY else None
@@ -122,7 +119,7 @@ def radius_fn(k: VPolytope | GaugeBody, u) -> FunctionalValue:
     direction = _as_vector(u, body.dim)
     if np.linalg.norm(direction) < EPS_GEOMETRY:
         raise ValueError("direction must be nonzero")
-    value = body._evaluate(direction)[0]
+    value = _fork(body.body, {})(direction)[0]
     if not np.isfinite(value):
         raise RuntimeError("radius LP infeasible despite interior origin")
     alpha = 1.0 / value
@@ -134,7 +131,7 @@ def max_chord(k: VPolytope, u) -> FunctionalValue:
     direction = _as_vector(u, k.dim)
     if np.linalg.norm(direction) < EPS_GEOMETRY:
         raise ValueError("direction must be nonzero")
-    value = _certified(difference_hull(k))[0].fork()(direction)[0]
+    value = _fork(difference_hull(k), {})(direction)[0]
     if not np.isfinite(value):
         # The ray leaves the difference body immediately: zero-length chord.
         return FunctionalValue(0.0, np.zeros(k.dim))

@@ -33,6 +33,13 @@ Gauge bodies are used exactly as given whenever the origin is already
 interior; otherwise they are recentered by an interior point, which is
 legal for all four quantities because each is invariant under independent
 translations of both arguments.
+
+Each public call forks a body's gauge evaluator once, in a table of its
+own (``convex_core._fork``), so two computations share an evaluator exactly
+when they read the same body.  A containment frame with no axis dropped or
+scaled is the centred body itself, and a centred body is its own
+recentred body, so the chain's frames of C and (C-C)/2 share the gauge
+body's and D's evaluators; ``radii_report`` goes on in D's table.
 """
 
 from __future__ import annotations
@@ -49,9 +56,9 @@ from .convex_core import (
     _WAVE_CELLS,
     _GaugeEvaluator,
     _as_vector,
-    _certified,
     _column_scales,
     _extent,
+    _fork,
     _interior_margin,
     _power_of_two_scale,
     difference_hull,
@@ -156,13 +163,13 @@ def _check_dims(k: VPolytope, c: VPolytope) -> None:
 def circumradius(k: VPolytope, c: VPolytope) -> RadiiResult:
     """Least lambda such that some translate x + lambda*C contains K."""
     _check_dims(k, c)
-    return RadiiResult("R", *_circumradius(k, c))
+    return RadiiResult("R", *_circumradius(k, c, {}))
 
 
-def _circumradius(k: VPolytope, c: VPolytope,
-                  frame: _Frame | None = None) -> tuple[float, np.ndarray]:
+def _circumradius(k: VPolytope, c: VPolytope, forks: dict,
+                  origin: bool = False) -> tuple[float, np.ndarray]:
     """R(K, C) and its centre, or RuntimeError when K leaves a flat C's hull."""
-    lam, center = _containment("circumradius", k, c, frame)
+    lam, center = _containment("circumradius", k, c, forks, origin)
     if np.isinf(lam):
         raise RuntimeError("circumradius is unbounded: no multiple of the flat "
                            "gauge body covers the body")
@@ -177,91 +184,74 @@ def inradius(k: VPolytope, c: VPolytope) -> RadiiResult:
     _check_dims(k, c)
     if not np.ptp(c.vertices, axis=0).any():
         raise ValueError("inradius is unbounded: the gauge body is a single point")
-    mu, y = _containment("inradius", c, k)
+    mu, y = _containment("inradius", c, k, {})
     if np.isinf(mu):
         return RadiiResult("r", 0.0, center=k.vertices.mean(axis=0))
     return RadiiResult("r", 1.0 / mu, center=(0.0 - y) / mu)  # no -0.0 where y is 0
 
 
-@dataclass(frozen=True, eq=False)
-class _Frame:
-    """The outer body of the containment engine in the engine's coordinates.
+def _frame(centred: VPolytope) -> tuple[np.ndarray, np.ndarray, float, VPolytope]:
+    """The containment engine's coordinates for a centred outer body,
+    prepared once: ``(hull, scales, extent, framed)``.
 
-    Its vertices are translated by -``shift``, their centroid or the
-    origin, and restricted to their affine hull, flat by the rule of
+    The vertices are restricted to their affine hull, flat by the rule of
     ``_flat_rank``: the columns of ``hull`` are its axes (the identity,
     which is exact, when it is all of space), and each axis is scaled by
     the power of two in ``scales``.  ``extent`` is the largest entry of the
-    translated vertices, and ``evaluate`` a gauge evaluator of the framed
-    vertices (None when the hull is a point), the one part forked per call.
+    vertices, and ``framed`` the framed body, which is ``centred`` itself
+    when no axis is dropped or scaled (or the hull is a point).
     """
-
-    shift: np.ndarray
-    hull: np.ndarray
-    scales: np.ndarray
-    extent: float
-    evaluate: _GaugeEvaluator | None
-
-
-def _frame(outer: VPolytope, known: _GaugeEvaluator | None = None,
-           origin: bool = False) -> _Frame:
-    """The containment frame of ``outer`` about the origin, or about its
-    vertex centroid when ``origin`` is False.  It takes the evaluator
-    ``known`` when that was built on exactly its framed vertices (a gauge
-    body recentred at its centroid, or a centred body about the origin, no
-    axis scaled): they share cones."""
-    centred = outer if origin else _recentred(outer)
-
     def build():
         rank, vt = centred._rank()
-        hull = np.eye(outer.dim) if rank == outer.dim else vt[:rank].T
+        hull = np.eye(centred.dim) if rank == centred.dim else vt[:rank].T
         scales = _column_scales(centred.vertices @ hull)
-        framed = VPolytope(centred.vertices @ hull * scales) if rank else None
+        own = rank in (0, centred.dim) and (scales == 1.0).all()
+        framed = None if own else VPolytope(centred.vertices @ hull * scales)
         return hull, scales, float(np.abs(centred.vertices).max()), framed
 
     hull, scales, extent, framed = centred._prepared("frame", build)
-    if framed is None or known is None or not np.array_equal(known.body.vertices,
-                                                             framed.vertices):
-        known = None if framed is None else _certified(framed)[0].fork()
-    shift = np.zeros(outer.dim) if origin else outer._centroid()
-    return _Frame(shift, hull, scales, extent, known)
+    return hull, scales, extent, centred if framed is None else framed
 
 
 def _recentred(p: VPolytope) -> VPolytope:
-    """p translated by minus its vertex centroid, prepared once per body."""
+    """p translated by minus its vertex centroid, prepared once per body;
+    p itself when that centroid is exactly 0."""
+    if not p._centroid().any():
+        return p
     return p._prepared("recentred", lambda: VPolytope(p.vertices - p._centroid()))
 
 
-def _containment(program: str, k: VPolytope, c: VPolytope,
-                 frame: _Frame | None = None) -> tuple[float, np.ndarray]:
+def _containment(program: str, k: VPolytope, c: VPolytope, forks: dict,
+                 origin: bool = False) -> tuple[float, np.ndarray]:
     """R(K, C) and its centre by facet generation; ``program`` names the
     quantity asked for in error messages.
 
-    C is put in its ``_frame``, which the caller may pass when it has one,
-    and K is translated to its vertex centroid: a K that leaves C's affine
-    hull has no finite R, and lambda is inf.  K is mapped by the frame's one
-    linear map M = a hull diag(scales), one more power of two a bringing it
-    near 1, so lambda is near 1 for long thin bodies too, and its supports
-    are read through M off K recentred: h_{KM}(u) = h_K(M u).
+    C is put in the ``_frame`` of C about its vertex centroid, or about the
+    origin when ``origin`` is set, and K is translated to its vertex
+    centroid: a K that leaves C's affine hull has no finite R, and lambda
+    is inf.  K is mapped by the frame's one linear map M = a hull
+    diag(scales), one more power of two a bringing it near 1, so lambda is
+    near 1 for long thin bodies too, and its supports are read through M
+    off K recentred: h_{KM}(u) = h_K(M u).  The framed body's gauge
+    evaluator is its fork in ``forks``.
     """
-    if frame is None:
-        frame = _frame(c)
-    shift, centred, hull = k._centroid(), _recentred(k), frame.hull
+    hull, scales, extent, framed = _frame(c if origin else _recentred(c))
+    shift, centred = k._centroid(), _recentred(k)
     vertices = centred.vertices
     if hull.shape[1] < k.dim and np.abs(vertices - vertices @ hull @ hull.T).max() > 1e-12 * max(
-            frame.extent, np.abs(vertices).max()):
+            extent, np.abs(vertices).max()):
         return np.inf, shift
     # A full frame's hull is the identity, whose products are exact.
-    inner = vertices @ hull * frame.scales
+    inner = vertices @ hull * scales
     # R(aK, C) = a R(K, C) with centre a x.
     a = _power_of_two_scale(float(np.abs(inner).max(initial=0.0)))
     lam, x = 0.0, np.zeros(0)
     if hull.shape[1]:
         lam, x = _facet_generation(
             program, a * inner,
-            lambda u: a * support_values(centred, (u * frame.scales) @ hull.T), frame.evaluate)
+            lambda u: a * support_values(centred, (u * scales) @ hull.T), _fork(framed, forks))
     lam = lam / a
-    return lam, shift + hull @ (x / a / frame.scales) - lam * frame.shift
+    return lam, shift + hull @ (x / a / scales) - (0.0 if origin else lam * c._centroid())
 
 
 def _require_finite(values: np.ndarray, program: str) -> None:
@@ -418,14 +408,15 @@ def diameter(k: VPolytope, c: VPolytope) -> RadiiResult:
     numerical failure (RuntimeError).
     """
     _check_dims(k, c)
-    value, pair, _ = _diameter(k, _half_difference_gauge(c))
+    value, pair, _ = _diameter(k, _half_difference_gauge(c), {})
     return RadiiResult("D", value, pair=pair)
 
 
-def _diameter(k: VPolytope, half: GaugeBody) -> tuple[float, tuple[int, int],
-                                                       np.ndarray | None]:
+def _diameter(k: VPolytope, half: GaugeBody, forks: dict) -> tuple[float, tuple[int, int],
+                                                                   np.ndarray | None]:
     """D, its witness pair (i, j), and the polar vertex y* of ``half`` =
-    (C-C)/2 at v_j - v_i, or None when K has one vertex.
+    (C-C)/2 at v_j - v_i, or None when K has one vertex.  The gauge of
+    ``half`` is its fork in ``forks``.
 
     y*.w <= 1 on every vertex w of (C-C)/2 and y*.(v_j - v_i) = D, so
     2 h_{K-K}(y*) / h_{C-C}(y*) >= D: y* is D's dual certificate.  The
@@ -440,7 +431,7 @@ def _diameter(k: VPolytope, half: GaugeBody) -> tuple[float, tuple[int, int],
     verts = k.vertices
     if verts.shape[0] == 1:
         return 0.0, (0, 0), None
-    evaluate = half._evaluate
+    evaluate = _fork(half.body, forks)
     if evaluate.polar_vertices is None:
         rows, later = np.triu_indices(verts.shape[0], 1)
         values, normals = evaluate.with_normals(verts[later] - verts[rows])
@@ -500,7 +491,7 @@ def min_width(k: VPolytope, c: VPolytope) -> RadiiResult:
 
     # The origin vertex of C-C imposes no constraint.
     nonzero = np.linalg.norm(b.vertices, axis=1) > 1e-12 * _extent(b)
-    values, normals = _certified(a)[0].fork().with_normals(b.vertices[nonzero])
+    values, normals = _fork(a, {}).with_normals(b.vertices[nonzero])
     _require_finite(values, f"min_width: the gauge LP of K-K ({d} x {len(a)})")
     top = float(values.max())
     normal = normals[int(np.argmax(values >= _tie_floor(top)))]
@@ -531,11 +522,13 @@ def symmetric_circumradius(k: VPolytope, c: GaugeBody) -> float:
     because the identity fails for non-centered bodies.
     """
     _check_dims(k, c)
-    if not _is_centered(_certified(k)[0].fork()):
+    forks: dict = {}
+    if not _is_centered(_fork(k, forks)):
         raise ValueError("symmetric circumradius needs a centered body")
-    if not _is_centered(c._evaluate):
+    evaluate = _fork(c.body, forks)
+    if not _is_centered(evaluate):
         raise ValueError("symmetric circumradius needs a centered gauge body")
-    return float(c._evaluate(k.vertices).max())
+    return float(evaluate(k.vertices).max())
 
 
 # ---------------------------------------------------------------------------
@@ -609,26 +602,29 @@ def verify_chain(k: VPolytope, c: VPolytope, tol: float = 1e-6) -> ChainReport:
     return _verify_chain(k, c, tol, {})
 
 
-def _verify_chain(k: VPolytope, c: VPolytope, tol: float, known: dict) -> ChainReport:
-    """``verify_chain`` reusing the R, (C-C)/2 and D that ``radii_report`` has."""
+def _verify_chain(k: VPolytope, c: VPolytope, tol: float, forks: dict,
+                  found: tuple | None = None, radius: float | None = None) -> ChainReport:
+    """``verify_chain`` with its evaluators forked in ``forks``.
+    ``radii_report`` passes the table its D was computed in, with that D
+    (``found``) and R's value (``radius``), so neither is computed again."""
     a, b = difference_hull(k), difference_hull(c)
     gauge_c, shift = _interior_gauge(c)
-    half = known.get("half") or _half_difference_gauge(c)
-    a2, _, y_star = known.get("D") or _diameter(k, half)
+    half = _half_difference_gauge(c)
+    a2, _, y_star = found or _diameter(k, half, forks)
     directions = _unit_rows(b.vertices)
     sweep = directions if y_star is None else np.vstack([y_star, directions])
     # h_{K-K}(u) = h_K(u) + h_K(-u), recentred so that no offset cancels.
     both = np.vstack([sweep, -sweep])
     widths = [support_values(_recentred(p), both).reshape(2, -1).sum(axis=0) for p in (k, c)]
     a1 = 2.0 * float(np.max(widths[0] / widths[1]))
-    # a3 frames (C-C)/2 about its exact centre, the origin, so the frame takes
-    # half's evaluator when no axis is scaled.  a4 and 2R share C's frame, at
-    # its centroid (a given origin may lie near C's boundary), which takes the
-    # evaluator of C's gauge body when that is C recentred at its centroid.
-    a3 = _circumradius(a, half.body, _frame(half.body, half._evaluate, origin=True))[0]
-    frame_c = _frame(c, gauge_c._evaluate)
-    a4 = _circumradius(a, c, frame_c)[0]
-    a5 = float(gauge_c._evaluate(a.vertices).max())
+    # a3 frames (C-C)/2 about its exact centre, the origin, so it shares
+    # D's evaluator when no axis is scaled.  a4 and 2R share C's frame, at
+    # its centroid (a given origin may lie near C's boundary), and with it
+    # the evaluator of C's gauge body when that is C recentred.
+    a3 = _circumradius(a, half.body, forks, True)[0]
+    a4 = _circumradius(a, c, forks)[0]
+    evaluate_c = _fork(gauge_c.body, forks)
+    a5 = float(evaluate_c(a.vertices).max())
 
     # Chord-ratio representation of the diameter (convex bodies).
     # Chord lengths are reciprocal gauges of the centered bodies K-K and
@@ -637,14 +633,14 @@ def _verify_chain(k: VPolytope, c: VPolytope, tol: float, known: dict) -> ChainR
     # the vertex directions of A attain the supremum in every dimension.
     # Skip the directions with no chord of K-K or a vanishing chord of C-C.
     chord_sweep = np.vstack([_unit_rows(a.vertices), directions])
-    gamma_a = _certified(a)[0].fork()(chord_sweep)
-    gamma_b = 0.5 * half._evaluate(chord_sweep)  # C-C = 2 (C-C)/2
+    gamma_a = _fork(a, forks)(chord_sweep)
+    gamma_b = 0.5 * _fork(half.body, forks)(chord_sweep)  # C-C = 2 (C-C)/2
     keep = np.isfinite(gamma_a) & (gamma_b < 1e12)
     chord_value = 2.0 * float(np.max(gamma_b[keep] / gamma_a[keep])) if keep.any() else 0.0
 
-    two_r = 2.0 * (known["R"]["value"] if "R" in known else _circumradius(k, c, frame_c)[0])
+    two_r = 2.0 * (_circumradius(k, c, forks)[0] if radius is None else radius)
     # C = -C exactly when the origin is interior and C holds -v for each vertex v.
-    centered = bool(not shift.any() and _is_centered(gauge_c._evaluate))
+    centered = bool(not shift.any() and _is_centered(evaluate_c))
 
     a1_consistent = bool(abs(a1 - a2) <= tol)
     flags = {
@@ -679,17 +675,17 @@ def radii_report(k: VPolytope, c: VPolytope, quantities=("R", "r", "D", "omega")
     if unknown:
         raise ValueError(f"unknown quantities {unknown}: expected R, r, D or omega")
     _check_dims(k, c)
-    report, known = {}, {}  # known: what the chain reuses
+    report, forks, found = {}, {}, None  # forks and found: D's, for the chain
     if "R" in quantities:
-        report["R"] = known["R"] = circumradius(k, c).to_dict()
+        report["R"] = circumradius(k, c).to_dict()
     if "r" in quantities:
         report["r"] = inradius(k, c).to_dict()
     if "D" in quantities:
-        known["half"] = _half_difference_gauge(c)
-        value, pair, _ = known["D"] = _diameter(k, known["half"])
+        value, pair, _ = found = _diameter(k, _half_difference_gauge(c), forks)
         report["D"] = RadiiResult("D", value, pair=pair).to_dict()
     if "omega" in quantities:
         report["omega"] = min_width(k, c).to_dict()
     if chain:
-        report["chain"] = _verify_chain(k, c, tol, known).to_dict()
+        radius = report["R"]["value"] if "R" in report else None
+        report["chain"] = _verify_chain(k, c, tol, forks, found, radius).to_dict()
     return report

@@ -19,6 +19,7 @@ from polyradii.functionals import (
     supporting_hyperplane_distance,
     width_fn,
 )
+from polyradii.radii import symmetric_circumradius
 
 SQRT3 = math.sqrt(3.0)
 TRIANGLE = make_body(BodySpec("equilateral_triangle"))
@@ -421,6 +422,29 @@ def test_a_fork_keeps_what_it_learns_to_itself():
         again = certified.fork().with_normals(points)
         assert values.tobytes() == again[0].tobytes()
         assert normals.tobytes() == again[1].tobytes()
+
+
+def test_a_reused_gauge_body_gives_the_same_bits_in_any_call_order():
+    # Every call forks the certificate afresh, so no call starts from the
+    # cones an earlier one met: one GaugeBody over the points, forward or
+    # reversed, gives what a fresh GaugeBody per point gives, bit for bit.
+    # The centred fast path gets the same from the mirrored body [C; -C].
+    rng = np.random.default_rng(7)
+    for dim in (3, 4, 5):
+        for _ in range(3):
+            v = rng.normal(size=(int(rng.integers(8, 31)), dim))
+            body = VPolytope(v - v.mean(axis=0))
+            mirrored = VPolytope(np.vstack([body.vertices, -body.vertices]))
+            points = rng.normal(size=(40, dim))
+            segments = [VPolytope([x, -x]) for x in points]
+            for size, gauge_body, inputs in (
+                    (lambda g, x: gauge(g, x).value, body, points),
+                    (lambda g, x: radius_fn(g, x).value, body, points),
+                    (lambda g, k: symmetric_circumradius(k, g), mirrored, segments)):
+                fresh = [size(GaugeBody.from_polytope(gauge_body), x) for x in inputs]
+                reused = GaugeBody.from_polytope(gauge_body)
+                assert [size(reused, x) for x in inputs] == fresh
+                assert [size(reused, x) for x in inputs[::-1]][::-1] == fresh
 
 
 def test_flat_body_is_evaluated_in_its_span_and_inf_off_its_cone(monkeypatch):

@@ -12,6 +12,7 @@ At two such sizes D, omega and R also meet closed forms on Qhull's facets.
 import numpy as np
 import pytest
 
+from polyradii import lp_solver
 from polyradii.convex_core import VPolytope, difference_hull
 from polyradii.radii import _tie_floor, circumradius, diameter, inradius, min_width
 from test_cross_validation import (
@@ -103,25 +104,38 @@ def facet_gauges(points, normals, offsets):
 
 
 @pytest.mark.parametrize("dim, size", [(3, 60), (4, 50)])
-def test_sizes_at_scale_meet_qhull_closed_forms(dim, size):
+def test_sizes_at_scale_meet_qhull_closed_forms(monkeypatch, dim, size):
     # Qhull's facets give three sizes with no LP of the library: D is the
     # largest facet gauge of (C-C)/2 over K's vertex pairs, omega is 2 / the
     # largest facet gauge of K-K over the vertices of C-C, and R is linprog
     # on C's facets in d + 1 variables.  At these sizes the library's
     # gauges walk in hundreds of waves, its evaluators cache hundreds of
     # facet cones seeded by an LP basis, and its masters start from them.
+    # Each size takes one LP, its certificate's: a cached inverse that is
+    # off by 1e-7 leaves the values within rounding, because the walks'
+    # certificates reject its cones, but sends hundreds of points to LPs.
+    solves = []
+    solve = lp_solver.solve
+    monkeypatch.setattr(lp_solver, "solve", lambda lp, **kw: solves.append(lp) or solve(lp, **kw))
+
+    def sized(size):
+        solves.clear()
+        out = size(body, gauge_body)
+        assert len(solves) == 1, size.__name__
+        return out
+
     rng = np.random.default_rng(3)
     k, c = rng.normal(size=(size, dim)), rng.normal(size=(size, dim))
     body, gauge_body = VPolytope(k), VPolytope(c - c.mean(axis=0))
     half = qhull_facets(0.5 * pairwise_differences(gauge_body.vertices))
     rows, later = np.triu_indices(size, 1)
     top = facet_gauges(k[later] - k[rows], *half).max()
-    d = diameter(body, gauge_body)
+    d = sized(diameter)
     assert d.value == pytest.approx(top, rel=1e-9)
     i, j = d.pair
     assert facet_gauges(k[j] - k[i:i + 1], *half)[0] >= _tie_floor(top)
     differences = qhull_facets(pairwise_differences(k))
     width = 2.0 / facet_gauges(pairwise_differences(gauge_body.vertices), *differences).max()
-    assert min_width(body, gauge_body).value == pytest.approx(width, rel=1e-9)
-    assert circumradius(body, gauge_body).value == pytest.approx(
+    assert sized(min_width).value == pytest.approx(width, rel=1e-9)
+    assert sized(circumradius).value == pytest.approx(
         oracle_circumradius(body, gauge_body), rel=1e-9)

@@ -797,8 +797,8 @@ def test_chain_flags_a_diameter_below_its_certificate(monkeypatch):
     # 52% below D, so it is y* that catches the error.
     exact = radii._diameter
 
-    def low(k, half):
-        value, pair, y_star = exact(k, half)
+    def low(k, half, forks):
+        value, pair, y_star = exact(k, half, forks)
         return 0.999 * value, pair, y_star
 
     monkeypatch.setattr(radii, "_diameter", low)
@@ -999,7 +999,8 @@ def test_recentred_gauge_is_certified_once(monkeypatch):
     # Each body prepares its interior certificate once: interior_point's
     # shifted gauge body is not certified again, no vertex array is
     # certified twice, and a second chain on the same bodies certifies
-    # nothing.
+    # nothing.  In a report, R's frame of C is C recentred itself, the
+    # chain's gauge body, not a copy certified again.
     calls = []
     real = convex_core._GaugeEvaluator.slack
 
@@ -1014,6 +1015,12 @@ def test_recentred_gauge_is_certified_once(monkeypatch):
     assert calls and len(calls) == len(set(calls))
     calls.clear()
     assert verify_chain(cube, shifted, tol=1e-6).ok
+    assert calls == []
+    cube, shifted = VPolytope(cube.vertices), VPolytope(shifted.vertices)
+    radii_report(cube, shifted)
+    assert calls and len(calls) == len(set(calls))
+    calls.clear()
+    radii_report(cube, shifted)
     assert calls == []
 
 
